@@ -21,7 +21,6 @@
 #include "core/cbg.h"
 #include "geo/geodesy.h"
 #include "geo/region.h"
-#include "net/prefix_table.h"
 #include "scenario/presets.h"
 #include "sim/latency_model.h"
 #include "util/durable.h"
@@ -97,18 +96,6 @@ void BM_CbgGeolocate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CbgGeolocate)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_PrefixTableLookup(benchmark::State& state) {
-  net::PrefixTable<int> table;
-  auto gen = util::Pcg32{6};
-  for (int i = 0; i < 10'000; ++i) {
-    table.insert(net::Prefix{net::IPv4Address{gen()}, 24}, i);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.lookup(net::IPv4Address{gen()}));
-  }
-}
-BENCHMARK(BM_PrefixTableLookup);
 
 void BM_LatencyModelBaseRtt(benchmark::State& state) {
   static const scenario::Scenario* s = [] {

@@ -1,5 +1,8 @@
 #include "core/geodb.h"
 
+#include <utility>
+#include <vector>
+
 #include "geo/geodesy.h"
 
 namespace geoloc::core {
@@ -53,6 +56,10 @@ GeoDatabase GeoDatabase::build(const scenario::Scenario& s,
                                                        : "geodb-maxmind")
                  .gen();
 
+  // Collected in target order: a later target's entry for the same prefix
+  // overwrites an earlier one when the table is frozen.
+  std::vector<std::pair<net::Prefix, GeoDbEntry>> entries;
+  entries.reserve(s.targets().size());
   for (sim::HostId target : s.targets()) {
     const sim::Host& h = world.host(target);
     const Draw d = profile == GeoDbProfile::IPinfo ? draw_ipinfo(gen)
@@ -64,24 +71,16 @@ GeoDatabase GeoDatabase::build(const scenario::Scenario& s,
     // IPinfo resolves /24s; the free MaxMind data is frequently coarser.
     const int plen =
         profile == GeoDbProfile::IPinfo ? 24 : (gen.chance(0.6) ? 24 : 16);
-    db.table_.insert(net::Prefix{h.addr, plen}, entry);
+    entries.emplace_back(net::Prefix{h.addr, plen}, entry);
   }
+  db.table_ = net::FlatLpm<GeoDbEntry>::build(std::move(entries));
   return db;
 }
 
-std::vector<std::pair<net::Prefix, GeoDbEntry>> GeoDatabase::entries() const {
-  std::vector<std::pair<net::Prefix, GeoDbEntry>> out;
-  out.reserve(table_.size());
-  table_.for_each([&](const net::Prefix& p, const GeoDbEntry& e) {
-    out.emplace_back(p, e);
-  });
-  return out;
-}
-
 std::optional<GeoDbEntry> GeoDatabase::lookup(net::IPv4Address a) const {
-  const auto hit = table_.lookup(a);
-  if (!hit) return std::nullopt;
-  return hit->second;
+  const auto* hit = table_.lookup(a);
+  if (hit == nullptr) return std::nullopt;
+  return hit->value;
 }
 
 }  // namespace geoloc::core

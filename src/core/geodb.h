@@ -9,12 +9,11 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
-#include "net/prefix_table.h"
+#include "net/flat_lpm.h"
 #include "scenario/scenario.h"
 
 namespace geoloc::core {
@@ -38,16 +37,18 @@ class GeoDatabase {
   [[nodiscard]] GeoDbProfile profile() const noexcept { return profile_; }
   [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
 
-  /// Every (prefix, entry) pair in network order — the export hook the
-  /// snapshot builder uses to publish a database-sourced dataset.
-  [[nodiscard]] std::vector<std::pair<net::Prefix, GeoDbEntry>> entries()
-      const;
+  /// Every (prefix, entry) pair in (network, length) order — the export
+  /// hook the snapshot builder uses to publish a database-sourced dataset.
+  [[nodiscard]] std::span<const net::FlatLpm<GeoDbEntry>::Slot> entries()
+      const noexcept {
+    return table_.slots();
+  }
 
  private:
   explicit GeoDatabase(GeoDbProfile profile) : profile_(profile) {}
 
   GeoDbProfile profile_;
-  net::PrefixTable<GeoDbEntry> table_;
+  net::FlatLpm<GeoDbEntry> table_;
 };
 
 }  // namespace geoloc::core

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <unordered_map>
 
 #include "geo/geodesy.h"
 #include "obs/metrics.h"
@@ -280,17 +281,21 @@ std::vector<WebsiteId> WebEcosystem::passing_near_scan(
     const geo::GeoPoint& p, double radius_km) const {
   // The original 1-degree hash-grid scan, expressed without the grid: for
   // each probe cell in scan order, every passing site in that cell (by ID,
-  // the grid's bucket order) within the radius.
+  // the grid's bucket order) within the radius. One pass over every
+  // website buckets the in-radius passing sites by cell, in ID order.
   int lat_lo = 0, lat_hi = 0, lon_lo = 0, lon_hi = 0;
   const std::vector<std::int64_t> probes =
       probe_cells(p, radius_km, lat_lo, lat_hi, lon_lo, lon_hi);
+  std::unordered_map<std::int64_t, std::vector<WebsiteId>> in_radius;
+  for (const Website& w : websites_) {
+    if (w.passes_tests && geo::distance_km(w.poi_location, p) <= radius_km) {
+      in_radius[cell_of(w.poi_location)].push_back(w.id);
+    }
+  }
   std::vector<WebsiteId> out;
   for (const std::int64_t key : probes) {
-    for (const Website& w : websites_) {
-      if (w.passes_tests && cell_of(w.poi_location) == key &&
-          geo::distance_km(w.poi_location, p) <= radius_km) {
-        out.push_back(w.id);
-      }
+    if (const auto it = in_radius.find(key); it != in_radius.end()) {
+      out.insert(out.end(), it->second.begin(), it->second.end());
     }
   }
   return out;

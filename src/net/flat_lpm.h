@@ -1,16 +1,16 @@
-// Flattened longest-prefix-match table for read-heavy serving paths.
+// Longest-prefix-match table over a frozen prefix set: the one LPM
+// structure in the codebase, used for the prefix-keyed commercial
+// geolocation databases (Section 6) and for published dataset snapshots.
 //
-// net::PrefixTable (a binary trie) is the right structure while a table is
-// being *built* — cheap inserts, natural LPM — but lookups chase up to 32
-// heap pointers, each a potential cache miss. Once a prefix set is frozen
-// (a published dataset snapshot), LPM over it can be answered from two
-// flat arrays instead: sweep the prefixes in network order, resolving
-// nesting with a stack, and emit the disjoint address intervals each
-// prefix *owns*. A lookup is then a binary search over the interval start
-// addresses, narrowed to a handful of candidates by a 64Ki-entry chunk
-// table indexed with the address's top 16 bits (the classic DIR-16 / DXR
-// move): in routing-table-shaped inputs a chunk holds only a few
-// intervals, so the search degenerates to one or two contiguous probes.
+// Rather than a trie, whose lookups chase up to 32 heap pointers (each a
+// potential cache miss), LPM is answered from two flat arrays: sweep the
+// prefixes in network order, resolving nesting with a stack, and emit the
+// disjoint address intervals each prefix *owns*. A lookup is then a binary
+// search over the interval start addresses, narrowed to a handful of
+// candidates by a 64Ki-entry chunk table indexed with the address's top 16
+// bits (the classic DIR-16 / DXR move): in routing-table-shaped inputs a
+// chunk holds only a few intervals, so the search degenerates to one or
+// two contiguous probes.
 //
 // Build is O(n log n) and the interval arrays are at most 2n+1 long; the
 // chunk table adds a flat 256 KiB per frozen table.
@@ -28,8 +28,8 @@
 namespace geoloc::net {
 
 /// Immutable LPM over a frozen prefix set. Duplicate prefixes in the input
-/// resolve to the last occurrence (matching PrefixTable::insert overwrite
-/// semantics when entries are added in insertion order).
+/// resolve to the last occurrence, so a build from entries listed in
+/// insertion order keeps insert-or-overwrite semantics.
 template <typename Value>
 class FlatLpm {
  public:

@@ -368,12 +368,13 @@ void Server::acceptor_loop() {
           cfg_.max_connections) {
         // Admission control: a typed reply, then close. The frame is 14
         // bytes — it fits any socket buffer, so the non-blocking send
-        // only fails when the peer is already gone.
+        // only fails when the peer is already gone. Counted first: once
+        // the peer sees the reply it may read stats() at once.
+        counters_.conns_shed.add();
+        net_series().conns_shed.add();
         (void)::send(fd, overloaded_frame.data(), overloaded_frame.size(),
                      MSG_NOSIGNAL);
         ::close(fd);
-        counters_.conns_shed.add();
-        net_series().conns_shed.add();
         continue;
       }
       const int one = 1;
@@ -404,8 +405,8 @@ void Server::adopt_connections(Worker& w) {
     if (draining_.load(std::memory_order_acquire)) {
       // Handed off just as the drain started: nothing was read yet, so a
       // plain close is the flush.
-      ::close(fd);
       open_conns_.fetch_sub(1, std::memory_order_acq_rel);
+      ::close(fd);
       continue;
     }
     auto conn = std::make_unique<Conn>(fd, cfg_.max_frame_bytes);
@@ -415,8 +416,8 @@ void Server::adopt_connections(Worker& w) {
     ev.events = c->events;
     ev.data.ptr = c;
     if (::epoll_ctl(w.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
       open_conns_.fetch_sub(1, std::memory_order_acq_rel);
+      ::close(fd);
       continue;
     }
     c->deadline = now + std::chrono::milliseconds(cfg_.read_deadline_ms);
@@ -428,11 +429,12 @@ void Server::adopt_connections(Worker& w) {
 void Server::close_conn(Worker& w, Conn& c, bool deadline_expired) {
   w.wheel.cancel(&c);
   (void)::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
-  ::close(c.fd);
   const std::size_t unsent = c.out.size() - c.out_pos;
   if (unsent > 0) {
     outstanding_bytes_.fetch_sub(unsent, std::memory_order_acq_rel);
   }
+  // Account for the close before the peer can observe it: a client that
+  // sees EOF may read stats() at once.
   counters_.conns_closed.add();
   net_series().conns_closed.add();
   if (deadline_expired) {
@@ -441,6 +443,7 @@ void Server::close_conn(Worker& w, Conn& c, bool deadline_expired) {
   }
   const int fd = c.fd;
   open_conns_.fetch_sub(1, std::memory_order_acq_rel);
+  ::close(fd);
   w.conns.erase(fd);  // destroys c — must be last
 }
 

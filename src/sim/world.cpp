@@ -179,7 +179,7 @@ net::Prefix World::allocate_site_prefix(net::Asn asn) {
     next_block16_ += 0x10000;
     as_current_block_[asn.value] = base;
     as_next_site_[asn.value] = 0;
-    bgp_.insert(net::Prefix{net::IPv4Address{base}, 16}, asn);
+    bgp16_.insert_or_assign(base, asn);
     block_it = as_current_block_.find(asn.value);
   }
   const std::uint32_t site = as_next_site_[asn.value]++;
@@ -188,14 +188,22 @@ net::Prefix World::allocate_site_prefix(net::Asn asn) {
   // landmark/target same-BGP-prefix analysis (Section 5.2.3) observes.
   auto gen = rng_.fork("announce", p.network().value()).gen();
   if (gen.chance(config_.more_specific_announce_rate)) {
-    bgp_.insert(p, asn);
+    bgp24_.insert_or_assign(p.network().value(), asn);
   }
   return p;
 }
 
 std::optional<std::pair<net::Prefix, net::Asn>> World::bgp_lookup(
     net::IPv4Address addr) const {
-  return bgp_.lookup(addr);
+  const net::Prefix p24{addr, 24};
+  if (const auto it = bgp24_.find(p24.network().value()); it != bgp24_.end()) {
+    return std::pair{p24, it->second};
+  }
+  const net::Prefix p16{addr, 16};
+  if (const auto it = bgp16_.find(p16.network().value()); it != bgp16_.end()) {
+    return std::pair{p16, it->second};
+  }
+  return std::nullopt;
 }
 
 HostId World::add_host(Host host) {

@@ -14,11 +14,11 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "geo/geopoint.h"
 #include "net/ipv4.h"
-#include "net/prefix_table.h"
 #include "sim/city.h"
 #include "util/rng.h"
 
@@ -143,12 +143,10 @@ class World {
   /// Allocate the next /24 site prefix owned by `asn`; registers the
   /// covering /16 (and sometimes the /24 itself) in the BGP table.
   net::Prefix allocate_site_prefix(net::Asn asn);
-  /// BGP-style origin lookup (longest-prefix match).
+  /// BGP-style origin lookup (longest-prefix match over the announced
+  /// /24 more-specifics and /16 blocks).
   [[nodiscard]] std::optional<std::pair<net::Prefix, net::Asn>> bgp_lookup(
       net::IPv4Address addr) const;
-  [[nodiscard]] const net::PrefixTable<net::Asn>& bgp_table() const noexcept {
-    return bgp_;
-  }
 
   // -- hosts --------------------------------------------------------------
   /// Register a host; fills in its id and returns it.
@@ -230,7 +228,10 @@ class World {
   std::unordered_map<std::uint32_t, std::uint32_t> as_current_block_;  // asn -> /16 base
   std::unordered_map<std::uint32_t, std::uint32_t> as_next_site_;     // asn -> next /24 index
   std::uint32_t next_block16_ = 0x01000000;  // 1.0.0.0, advances by /16
-  net::PrefixTable<net::Asn> bgp_;
+  // Announced prefixes by network, one map per length. Only /16 blocks and
+  // /24 more-specifics are ever announced, so LPM is two exact probes.
+  std::unordered_map<std::uint32_t, net::Asn> bgp16_;
+  std::unordered_map<std::uint32_t, net::Asn> bgp24_;
 
   std::vector<Host> hosts_;
   std::unordered_map<std::uint32_t, HostId> host_by_addr_;

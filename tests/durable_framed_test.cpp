@@ -3,8 +3,7 @@
 // corruption matrix on the frame itself — truncation at every 1/8 offset,
 // bit-flips in header / payload / trailer, torn writes, trailing garbage.
 // Every failure must come back as a clean status (and quarantine), never
-// as UB — the suite runs under the sanitize-durable and tsan-durable
-// presets.
+// as UB — the suite runs under the sanitize-all and tsan-all presets.
 #include "util/durable.h"
 
 #include <gtest/gtest.h>

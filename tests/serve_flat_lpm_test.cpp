@@ -1,15 +1,17 @@
-// FlatLpm is the serving-path replacement for net::PrefixTable. The key
-// property: for every address, it answers exactly what the trie answers —
-// checked both on curated nest/overlap cases and on randomized prefix sets.
+// FlatLpm is the codebase's one longest-prefix-match structure. The key
+// property: for every address, it answers exactly what a linear scan over
+// the prefix list answers — checked both on curated nest/overlap cases and
+// on randomized prefix sets.
 #include "net/flat_lpm.h"
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "net/prefix_table.h"
+#include "lpm_reference.h"
 #include "util/rng.h"
 
 namespace geoloc::net {
@@ -82,6 +84,35 @@ TEST(FlatLpm, DuplicatePrefixLastWins) {
   EXPECT_EQ(lpm.lookup(addr("10.0.0.5"))->value, 2);
 }
 
+TEST(FlatLpm, SlotsAreInNetworkOrder) {
+  const auto lpm = FlatLpm<int>::build({
+      {pfx("10.0.0.0/8"), 1},
+      {pfx("192.168.0.0/16"), 2},
+      {pfx("10.1.0.0/16"), 3},
+      {pfx("10.0.0.0/16"), 4},
+  });
+  std::vector<std::string> seen;
+  for (const auto& slot : lpm.slots()) seen.push_back(slot.prefix.to_string());
+  // Network order, a covering prefix before the ones nested in it.
+  const std::vector<std::string> want = {"10.0.0.0/8", "10.0.0.0/16",
+                                         "10.1.0.0/16", "192.168.0.0/16"};
+  EXPECT_EQ(seen, want);
+}
+
+TEST(FlatLpm, ManyDisjointPrefixes) {
+  std::vector<std::pair<Prefix, std::uint32_t>> entries;
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    entries.emplace_back(Prefix{IPv4Address{(i + 256) << 16}, 16}, i);
+  }
+  const auto lpm = FlatLpm<std::uint32_t>::build(std::move(entries));
+  EXPECT_EQ(lpm.size(), 500u);
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    const auto* hit = lpm.lookup(IPv4Address{((i + 256) << 16) | 0x1234});
+    ASSERT_NE(hit, nullptr) << i;
+    EXPECT_EQ(hit->value, i);
+  }
+}
+
 TEST(FlatLpm, BatchMatchesSingleLookups) {
   const auto lpm = FlatLpm<int>::build({
       {pfx("10.0.0.0/8"), 1},
@@ -99,22 +130,21 @@ TEST(FlatLpm, BatchMatchesSingleLookups) {
   }
 }
 
-TEST(FlatLpm, AgreesWithPrefixTableOnRandomSets) {
+TEST(FlatLpm, AgreesWithLinearScanOnRandomSets) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 99ULL}) {
     Pcg32 gen(seed);
     std::vector<std::pair<Prefix, int>> entries;
-    PrefixTable<int> trie;
+    std::set<Prefix> distinct;
     const std::size_t n = 50 + gen.bounded(400);
     for (std::size_t i = 0; i < n; ++i) {
       const int len = static_cast<int>(gen.bounded(33));  // 0..32 inclusive
       const IPv4Address network{gen() & Prefix::mask(len)};
       const Prefix p{network, len};
-      const int value = static_cast<int>(i);
-      entries.emplace_back(p, value);
-      trie.insert(p, value);
+      entries.emplace_back(p, static_cast<int>(i));
+      distinct.insert(p);
     }
     const auto lpm = FlatLpm<int>::build(entries);
-    ASSERT_EQ(lpm.size(), trie.size()) << "seed " << seed;
+    ASSERT_EQ(lpm.size(), distinct.size()) << "seed " << seed;
 
     for (int probe = 0; probe < 20'000; ++probe) {
       // Half uniform addresses, half near prefix boundaries where the
@@ -130,7 +160,7 @@ TEST(FlatLpm, AgreesWithPrefixTableOnRandomSets) {
         a = IPv4Address{static_cast<std::uint32_t>(
             std::min<std::uint64_t>(edge, 0xFFFFFFFFULL))};
       }
-      const auto want = trie.lookup(a);
+      const auto want = testing::reference_lpm<int>(entries, a);
       const auto* got = lpm.lookup(a);
       if (!want.has_value()) {
         EXPECT_EQ(got, nullptr) << "seed " << seed << " addr " << a.value();

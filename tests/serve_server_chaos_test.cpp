@@ -4,7 +4,7 @@
 // graceful drain, and lookups racing hot snapshot swaps. The invariant
 // throughout: every hostile byte stream produces a typed error reply or a
 // clean close — never a crash, a hang, or a torn answer — and the suite is
-// run under ASan/UBSan and TSan via the sanitize-server / tsan-server
+// run under ASan/UBSan and TSan via the sanitize-all / tsan-all
 // presets (ctest label "server").
 #include "serve/server.h"
 
