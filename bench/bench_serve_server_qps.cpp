@@ -227,11 +227,11 @@ int main() {
     return 1;
   }
   const auto duration = std::chrono::milliseconds(small ? 300 : 800);
+  const auto host_cores =
+      static_cast<double>(std::thread::hardware_concurrency());
   int exit_code = 0;
 
   // -- phase 1: QPS vs connection count -----------------------------------
-  std::printf("\npipelined lookups (window 32/conn), %u worker(s):\n",
-              std::min(4u, std::thread::hardware_concurrency()));
   double peak_qps = 0.0;
   {
     serve::GeoService service(snapshot);
@@ -241,6 +241,8 @@ int main() {
       std::fprintf(stderr, "server start failed: %s\n", error.c_str());
       return 1;
     }
+    std::printf("\npipelined lookups (window 32/conn), %u worker(s):\n",
+                server.config().workers);
     for (const int conns : {1, 2, 4, 8, 16}) {
       const PhaseRow row = run_phase(server.port(), conns, /*window=*/32,
                                      duration);
@@ -255,7 +257,9 @@ int main() {
            {"p99_ms", row.p99_ms},
            {"served", static_cast<double>(row.served)},
            {"shed", static_cast<double>(row.shed)},
-           {"errors", static_cast<double>(row.errors)}});
+           {"errors", static_cast<double>(row.errors)},
+           {"server_workers", static_cast<double>(server.config().workers)},
+           {"host_cores", host_cores}});
     }
     server.stop();
   }
@@ -339,7 +343,9 @@ int main() {
          {"probe_lookups", static_cast<double>(probe.served)},
          {"probe_p50_ms", probe_p50},
          {"probe_p99_ms", probe_p99},
-         {"peak_sweep_qps", peak_qps}});
+         {"peak_sweep_qps", peak_qps},
+         {"server_workers", static_cast<double>(server.config().workers)},
+         {"host_cores", host_cores}});
     server.stop();
   }
 

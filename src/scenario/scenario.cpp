@@ -209,15 +209,29 @@ std::optional<std::string> Scenario::cache_path(
 }
 
 const RttMatrix& Scenario::target_rtts() const {
-  if (target_rtts_) return *target_rtts_;
-  const obs::TraceSpan span("scenario.rtt_matrix.target");
-  const std::uint64_t tag = config_.fingerprint() ^ 0x7a7a1ULL;
-  const auto path = cache_path("target-rtts");
+  return cached_matrix(target_rtts_, "scenario.rtt_matrix.target",
+                       "target-rtts", 0x7a7a1ULL, /*representatives=*/false);
+}
+
+const RttMatrix& Scenario::representative_rtts() const {
+  return cached_matrix(rep_rtts_, "scenario.rtt_matrix.representatives",
+                       "rep-rtts", 0x4e4e2ULL, /*representatives=*/true);
+}
+
+const RttMatrix& Scenario::cached_matrix(std::unique_ptr<RttMatrix>& slot,
+                                         const char* span_name,
+                                         const std::string& cache_name,
+                                         std::uint64_t tag_salt,
+                                         bool representatives) const {
+  if (slot) return *slot;
+  const obs::TraceSpan span(span_name);
+  const std::uint64_t tag = config_.fingerprint() ^ tag_salt;
+  const auto path = cache_path(cache_name);
   auto m = std::make_unique<RttMatrix>();
   if (path && m->load(*path, tag)) {
     matrix_metrics().cache_hits.add();
-    target_rtts_ = std::move(m);
-    return *target_rtts_;
+    slot = std::move(m);
+    return *slot;
   }
   matrix_metrics().cache_misses.add();
   const auto start = std::chrono::steady_clock::now();
@@ -225,44 +239,21 @@ const RttMatrix& Scenario::target_rtts() const {
   // streaming tile source (one scratch tile at a time) — byte-identical to
   // the old per-cell loop for any tile shape and GEOLOC_THREADS, which
   // keeps the disk-cache tag honest. Million-scale consumers skip this
-  // method entirely and stream the tiles directly (DESIGN.md §14).
+  // method entirely and stream the tiles directly (DESIGN.md §14). The
+  // representative campaign's median semantics live in the tile source's
+  // cell recipe.
   m = std::make_unique<RttMatrix>(
-      RttTileSource::for_targets(*this).materialise());
+      (representatives ? RttTileSource::for_representatives(*this)
+                       : RttTileSource::for_targets(*this))
+          .materialise());
   matrix_metrics().cells.add(vps_.size() * targets_.size());
   matrix_metrics().materialise_wall_ms.observe(
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
           .count());
   if (path) m->save(*path, tag);
-  target_rtts_ = std::move(m);
-  return *target_rtts_;
-}
-
-const RttMatrix& Scenario::representative_rtts() const {
-  if (rep_rtts_) return *rep_rtts_;
-  const obs::TraceSpan span("scenario.rtt_matrix.representatives");
-  const std::uint64_t tag = config_.fingerprint() ^ 0x4e4e2ULL;
-  const auto path = cache_path("rep-rtts");
-  auto m = std::make_unique<RttMatrix>();
-  if (path && m->load(*path, tag)) {
-    matrix_metrics().cache_hits.add();
-    rep_rtts_ = std::move(m);
-    return *rep_rtts_;
-  }
-  matrix_metrics().cache_misses.add();
-  const auto start = std::chrono::steady_clock::now();
-  // Same tiling as target_rtts(); the representative campaign's median
-  // semantics live in the tile source's cell recipe.
-  m = std::make_unique<RttMatrix>(
-      RttTileSource::for_representatives(*this).materialise());
-  matrix_metrics().cells.add(vps_.size() * targets_.size());
-  matrix_metrics().materialise_wall_ms.observe(
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  if (path) m->save(*path, tag);
-  rep_rtts_ = std::move(m);
-  return *rep_rtts_;
+  slot = std::move(m);
+  return *slot;
 }
 
 void Scenario::invalidate_rtt_matrices() {

@@ -134,6 +134,14 @@ class Scenario {
   void build();
   [[nodiscard]] std::optional<std::string> cache_path(
       const std::string& name) const;
+  /// Load `slot` from the disk cache entry `cache_name` (tagged with the
+  /// config fingerprint ^ `tag_salt`) or materialise it from the target or
+  /// representative tile source, then save it.
+  const RttMatrix& cached_matrix(std::unique_ptr<RttMatrix>& slot,
+                                 const char* span_name,
+                                 const std::string& cache_name,
+                                 std::uint64_t tag_salt,
+                                 bool representatives) const;
 
   ScenarioConfig config_;
   std::unique_ptr<sim::World> world_;

@@ -29,33 +29,6 @@ struct TlsSnapshotCache {
 };
 thread_local TlsSnapshotCache tls_snapshot_cache;
 
-/// Process-wide serving series on the obs registry, bumped alongside the
-/// per-instance counters (both are striped relaxed adds; together they
-/// cost two uncontended cache-line writes per lookup).
-struct ServeSeries {
-  obs::Counter& lookups;
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& stale_hits;
-  obs::Counter& snapshot_swaps;
-  obs::Counter& ttl_scans;    ///< stale_prefixes() sweeps
-  obs::Counter& ttl_expired;  ///< entries found past their TTL by a sweep
-  obs::Counter& remeasure_dropped;  ///< pushes shed at the queue cap
-};
-
-ServeSeries& serve_series() {
-  static auto& reg = obs::Registry::instance();
-  static ServeSeries s{reg.counter("serve.lookups"),
-                       reg.counter("serve.hits"),
-                       reg.counter("serve.misses"),
-                       reg.counter("serve.stale_hits"),
-                       reg.counter("serve.snapshot_swaps"),
-                       reg.counter("serve.ttl_scans"),
-                       reg.counter("serve.ttl_expired"),
-                       reg.counter("serve.remeasure_dropped")};
-  return s;
-}
-
 std::size_t remeasure_cap_from_env() {
   // int_or rejects non-positive values, so "0" (= unbounded) must be an
   // explicit opt-in via the ctor argument, not an env typo.
@@ -77,7 +50,6 @@ bool RemeasureQueue::push(net::Prefix prefix) {
   if (pending_.contains(prefix_key(prefix))) return false;
   if (cap_ != 0 && queue_.size() >= cap_) {
     dropped_.add();
-    serve_series().remeasure_dropped.add();
     return false;
   }
   pending_.insert(prefix_key(prefix));
@@ -110,7 +82,6 @@ void GeoService::publish(std::shared_ptr<const publish::Snapshot> snapshot) {
   // cache and (through the mutex) sees at least this snapshot.
   epoch_.fetch_add(1, std::memory_order_release);
   swaps_.fetch_add(1, std::memory_order_relaxed);
-  serve_series().snapshot_swaps.add();
 }
 
 bool GeoService::publish_from_file(const std::string& path,
@@ -148,23 +119,13 @@ const std::shared_ptr<const publish::Snapshot>& GeoService::cached_snapshot()
 Answer GeoService::answer_from(
     const std::shared_ptr<const publish::Snapshot>& snap,
     net::IPv4Address address, double now_s) const {
-  ServeSeries& series = serve_series();
-  counters_.lookups.add();
-  series.lookups.add();
   Answer a;
-  if (!snap) {
-    counters_.misses.add();
-    series.misses.add();
-    return a;
-  }
-  const auto hit = snap->find(address);
+  const auto hit = snap ? snap->find(address) : std::nullopt;
   if (!hit) {
     counters_.misses.add();
-    series.misses.add();
     return a;
   }
   counters_.hits.add();
-  series.hits.add();
   a.found = true;
   a.prefix = hit->prefix;
   a.location = hit->location;
@@ -178,7 +139,6 @@ Answer GeoService::answer_from(
   if (hit->stale_at(now_s)) {
     a.stale = true;
     counters_.stale_hits.add();
-    series.stale_hits.add();
     queue_.push(hit->prefix);
   }
   return a;
@@ -198,9 +158,9 @@ void GeoService::lookup_batch(std::span<const net::IPv4Address> addresses,
 
 ServiceStats GeoService::stats() const {
   ServiceStats s;
-  s.lookups = counters_.lookups.value();
   s.hits = counters_.hits.value();
   s.misses = counters_.misses.value();
+  s.lookups = s.hits + s.misses;  // every lookup is exactly one of the two
   s.stale_hits = counters_.stale_hits.value();
   s.swaps = swaps_.load(std::memory_order_relaxed);
   return s;
@@ -214,9 +174,13 @@ std::vector<net::Prefix> GeoService::stale_prefixes(double now_s) const {
     const publish::SnapshotEntry e = snap->entry(i);
     if (e.stale_at(now_s)) out.push_back(e.prefix);
   }
-  ServeSeries& series = serve_series();
-  series.ttl_scans.add();
-  series.ttl_expired.add(out.size());
+  // Process-wide: sweeps have no per-instance counter to duplicate.
+  static obs::Counter& scans =
+      obs::Registry::instance().counter("serve.ttl_scans");
+  static obs::Counter& expired =
+      obs::Registry::instance().counter("serve.ttl_expired");
+  scans.add();
+  expired.add(out.size());
   return out;
 }
 

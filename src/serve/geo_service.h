@@ -24,9 +24,9 @@
 //     cold path costs nothing and keeps the whole service TSan-provable.
 //   * Counters live on the obs metrics layer (obs/metrics.h), which
 //     hoisted this service's original cache-line-striped design: each
-//     service keeps per-instance obs::Counter cells for stats(), and the
-//     process-wide serve.* registry series (hits / misses / stale hits /
-//     TTL expiries) are bumped alongside. The stale-prefix queue is the
+//     service keeps one per-instance obs::Counter per event, read by
+//     stats(). Only the TTL sweep (serve.ttl_scans / serve.ttl_expired)
+//     reports on the process-wide registry. The stale-prefix queue is the
 //     only mutex in the system, taken on the (rare) stale-hit path.
 //
 // Staleness: each entry's measured_at_s + ttl_s is its freshness horizon,
@@ -85,10 +85,9 @@ struct ServiceStats {
 /// Deduplicating queue of prefixes awaiting re-measurement. Thread-safe.
 ///
 /// Bounded: past `capacity()` pending prefixes, further pushes are dropped
-/// (counted on `dropped()` and the process-wide "serve.remeasure_dropped"
-/// series) instead of growing without limit — a stale-heavy workload
-/// hitting a network-facing server must not become a memory-exhaustion
-/// vector. Drops are safe to shed: a dropped prefix simply re-queues on
+/// (counted on `dropped()`) instead of growing without limit — a
+/// stale-heavy workload hitting a network-facing server must not become a
+/// memory-exhaustion vector. Drops are safe to shed: a dropped prefix simply re-queues on
 /// its next stale hit after a drain.
 class RemeasureQueue {
  public:
@@ -159,8 +158,9 @@ class GeoService {
  private:
   /// Per-instance counters (obs::Counter is cache-line striped internally,
   /// the original CounterCell design hoisted into the obs layer).
+  /// Every lookup bumps exactly one of hits / misses; stats() derives
+  /// `lookups` as their sum.
   struct Counters {
-    obs::Counter lookups;
     obs::Counter hits;
     obs::Counter misses;
     obs::Counter stale_hits;

@@ -15,8 +15,7 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "obs/log.h"
-#include "util/env.h"
+#include "obs/trace.h"
 
 namespace geoloc::serve {
 
@@ -24,84 +23,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Process-wide serving-frontend series, bumped alongside the per-instance
-/// counters (same two-striped-adds pattern as serve_series()).
-struct NetSeries {
-  obs::Counter& conns_accepted;
-  obs::Counter& conns_shed;
-  obs::Counter& conns_closed;
-  obs::Counter& deadline_closed;
-  obs::Counter& frames;
-  obs::Counter& malformed;
-  obs::Counter& shed_requests;
-  obs::Counter& req_lookup;
-  obs::Counter& req_batch;
-  obs::Counter& req_info;
-  obs::Counter& req_stats;
-  obs::Counter& bytes_in;
-  obs::Counter& bytes_out;
-  obs::Histogram& request_ms;
-};
-
-NetSeries& net_series() {
-  static auto& reg = obs::Registry::instance();
-  static NetSeries s{reg.counter("serve.net.conns_accepted"),
-                     reg.counter("serve.net.conns_shed"),
-                     reg.counter("serve.net.conns_closed"),
-                     reg.counter("serve.net.deadline_closed"),
-                     reg.counter("serve.net.frames"),
-                     reg.counter("serve.net.malformed"),
-                     reg.counter("serve.net.shed_requests"),
-                     reg.counter("serve.net.req.lookup"),
-                     reg.counter("serve.net.req.batch"),
-                     reg.counter("serve.net.req.info"),
-                     reg.counter("serve.net.req.stats"),
-                     reg.counter("serve.net.bytes_in"),
-                     reg.counter("serve.net.bytes_out"),
-                     reg.histogram("serve.net.request_ms")};
-  return s;
-}
-
-int clamped_env_ms(const char* name, int fallback) {
-  // Deadlines are positive and bounded to a minute: a knob typo must not
-  // configure a server whose slowloris defense never fires.
-  return std::min(util::env::int_or(name, fallback), 60'000);
+/// Per-frame handling time. Timed only while tracing is on: two clock
+/// reads per frame are not free, and an untraced run must not pay them
+/// (DESIGN.md §10). Event counts live in the per-instance Server::Counters.
+obs::Histogram& request_ms() {
+  static obs::Histogram& h =
+      obs::Registry::instance().histogram("serve.net.request_ms");
+  return h;
 }
 
 }  // namespace
-
-// -- config ----------------------------------------------------------------
-
-ServerConfig ServerConfig::from_env() {
-  namespace env = util::env;
-  ServerConfig c;
-  const int port = env::int_or("GEOLOC_SERVE_PORT", 0);
-  if (port > 65535) {
-    obs::warn_once("GEOLOC_SERVE_PORT-range",
-                   "GEOLOC_SERVE_PORT=" + std::to_string(port) +
-                       " is not a TCP port; using an ephemeral port");
-  } else if (port > 0) {
-    c.port = static_cast<std::uint16_t>(port);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned default_workers = std::min(hw > 0 ? hw : 1u, 4u);
-  c.workers = std::min(
-      static_cast<unsigned>(env::int_or("GEOLOC_SERVE_THREADS",
-                                        static_cast<int>(default_workers))),
-      env::max_threads());
-  c.max_connections =
-      static_cast<std::size_t>(env::int_or("GEOLOC_SERVE_MAX_CONNS", 1024));
-  c.max_batch =
-      static_cast<std::size_t>(env::int_or("GEOLOC_SERVE_MAX_BATCH", 2048));
-  c.read_deadline_ms = clamped_env_ms("GEOLOC_SERVE_READ_DEADLINE_MS", 5000);
-  c.write_deadline_ms = clamped_env_ms("GEOLOC_SERVE_WRITE_DEADLINE_MS", 5000);
-  c.drain_deadline_ms = clamped_env_ms("GEOLOC_SERVE_DRAIN_MS", 2000);
-  c.max_output_queue_bytes =
-      static_cast<std::size_t>(env::int_or("GEOLOC_SERVE_MAX_OUTQ", 1 << 20));
-  c.max_outstanding_bytes = static_cast<std::size_t>(
-      env::int_or("GEOLOC_SERVE_MAX_OUTSTANDING", 8 << 20));
-  return c;
-}
 
 // -- per-worker timer wheel ------------------------------------------------
 
@@ -371,7 +302,6 @@ void Server::acceptor_loop() {
         // only fails when the peer is already gone. Counted first: once
         // the peer sees the reply it may read stats() at once.
         counters_.conns_shed.add();
-        net_series().conns_shed.add();
         (void)::send(fd, overloaded_frame.data(), overloaded_frame.size(),
                      MSG_NOSIGNAL);
         ::close(fd);
@@ -380,7 +310,6 @@ void Server::acceptor_loop() {
       const int one = 1;
       (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
       counters_.conns_accepted.add();
-      net_series().conns_accepted.add();
       open_conns_.fetch_add(1, std::memory_order_acq_rel);
       Worker& w = *workers_[next_worker_++ % workers_.size()];
       {
@@ -436,11 +365,7 @@ void Server::close_conn(Worker& w, Conn& c, bool deadline_expired) {
   // Account for the close before the peer can observe it: a client that
   // sees EOF may read stats() at once.
   counters_.conns_closed.add();
-  net_series().conns_closed.add();
-  if (deadline_expired) {
-    counters_.deadline_closed.add();
-    net_series().deadline_closed.add();
-  }
+  if (deadline_expired) counters_.deadline_closed.add();
   const int fd = c.fd;
   open_conns_.fetch_sub(1, std::memory_order_acq_rel);
   ::close(fd);
@@ -489,10 +414,9 @@ wire::StatsReply Server::build_stats() const {
 
 void Server::process_frame(Worker& w, Conn& c,
                            std::span<const std::byte> payload) {
-  NetSeries& series = net_series();
   counters_.frames.add();
-  series.frames.add();
-  const auto t0 = Clock::now();
+  const bool timing = obs::trace_enabled();
+  const auto t0 = timing ? Clock::now() : Clock::time_point{};
 
   wire::Request req;
   const wire::ParseStatus ps =
@@ -501,17 +425,14 @@ void Server::process_frame(Worker& w, Conn& c,
   switch (ps) {
     case wire::ParseStatus::Malformed:
       counters_.malformed.add();
-      series.malformed.add();
       wire::encode_error(c.out, req.request_id, wire::ErrorCode::Malformed);
       break;
     case wire::ParseStatus::UnknownType:
       counters_.malformed.add();
-      series.malformed.add();
       wire::encode_error(c.out, req.request_id, wire::ErrorCode::UnknownType);
       break;
     case wire::ParseStatus::BatchTooLarge:
       counters_.malformed.add();
-      series.malformed.add();
       wire::encode_error(c.out, req.request_id,
                          wire::ErrorCode::BatchTooLarge);
       break;
@@ -525,11 +446,9 @@ void Server::process_frame(Worker& w, Conn& c,
       switch (req.type) {
         case wire::MsgType::LookupReq: {
           counters_.requests_lookup.add();
-          series.req_lookup.add();
           if (outstanding_bytes_.load(std::memory_order_acquire) >
               cfg_.max_outstanding_bytes) {
             counters_.shed_requests.add();
-            series.shed_requests.add();
             wire::encode_error(c.out, req.request_id,
                                wire::ErrorCode::Overloaded);
             break;
@@ -540,11 +459,9 @@ void Server::process_frame(Worker& w, Conn& c,
         }
         case wire::MsgType::BatchReq: {
           counters_.requests_batch.add();
-          series.req_batch.add();
           if (outstanding_bytes_.load(std::memory_order_acquire) >
               cfg_.max_outstanding_bytes) {
             counters_.shed_requests.add();
-            series.shed_requests.add();
             wire::encode_error(c.out, req.request_id,
                                wire::ErrorCode::Overloaded);
             break;
@@ -556,12 +473,10 @@ void Server::process_frame(Worker& w, Conn& c,
         }
         case wire::MsgType::InfoReq:
           counters_.requests_info.add();
-          series.req_info.add();
           wire::encode_info_reply(c.out, req.request_id, build_info());
           break;
         case wire::MsgType::StatsReq:
           counters_.requests_stats.add();
-          series.req_stats.add();
           wire::encode_stats_reply(c.out, req.request_id, build_stats());
           break;
         default:  // unreachable: parse_request only returns the four above
@@ -573,13 +488,14 @@ void Server::process_frame(Worker& w, Conn& c,
     }
   }
   enqueue_wrote(w, c, before);
-  series.request_ms.observe(
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+  if (timing) {
+    request_ms().observe(
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+  }
 }
 
 void Server::handle_readable(Worker& w, Conn& c) {
   if (c.input_done) return;
-  NetSeries& series = net_series();
   std::byte chunk[16384];
   bool progressed = false;
   for (;;) {
@@ -587,7 +503,6 @@ void Server::handle_readable(Worker& w, Conn& c) {
     if (n > 0) {
       progressed = true;
       counters_.bytes_in.add(static_cast<std::uint64_t>(n));
-      series.bytes_in.add(static_cast<std::uint64_t>(n));
       c.decoder.feed(
           std::span<const std::byte>(chunk, static_cast<std::size_t>(n)));
       // Process as we go so a fast pipelining client cannot balloon the
@@ -601,7 +516,6 @@ void Server::handle_readable(Worker& w, Conn& c) {
         }
         if (st == wire::FrameDecoder::Status::TooLarge) {
           counters_.malformed.add();
-          series.malformed.add();
           const std::size_t before = c.out.size();
           wire::encode_error(c.out, 0, wire::ErrorCode::FrameTooLarge);
           enqueue_wrote(w, c, before);
@@ -638,7 +552,6 @@ void Server::handle_readable(Worker& w, Conn& c) {
 }
 
 void Server::handle_writable(Worker& w, Conn& c) {
-  NetSeries& series = net_series();
   const std::size_t flushed_from = c.out_pos;
   while (c.out_pos < c.out.size()) {
     const ssize_t n = ::send(c.fd, c.out.data() + c.out_pos,
@@ -646,7 +559,6 @@ void Server::handle_writable(Worker& w, Conn& c) {
     if (n > 0) {
       c.out_pos += static_cast<std::size_t>(n);
       counters_.bytes_out.add(static_cast<std::uint64_t>(n));
-      series.bytes_out.add(static_cast<std::uint64_t>(n));
       outstanding_bytes_.fetch_sub(static_cast<std::size_t>(n),
                                    std::memory_order_acq_rel);
       continue;

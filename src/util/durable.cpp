@@ -279,6 +279,40 @@ bool write_framed(const std::string& path, std::uint64_t magic,
   return atomic_write_file(path, out, error);
 }
 
+namespace {
+
+/// The one frame validator both readers run over a whole file's bytes:
+/// length floor, frame magic, header checksum, artifact magic, payload
+/// length, payload checksum, in that order. Returns why the frame is
+/// corrupt, or an empty string with `*payload` and `*version` set.
+std::string check_frame(std::span<const std::byte> file, std::uint64_t magic,
+                        std::span<const std::byte>* payload,
+                        std::uint32_t* version) {
+  if (file.size() < kFrameOverheadBytes) {
+    return "truncated frame (" + std::to_string(file.size()) + " bytes)";
+  }
+  const std::byte* h = file.data();
+  if (load_u64(h + 0) != kFrameMagic) return "bad frame magic";
+  if (load_u64(h + 32) != xxh64(file.first(32))) {
+    return "header checksum mismatch";
+  }
+  if (load_u64(h + 8) != magic) return "foreign artifact magic";
+  const std::uint64_t payload_len = load_u64(h + 24);
+  if (payload_len != file.size() - kFrameOverheadBytes) {
+    return "payload length " + std::to_string(payload_len) +
+           " does not match file size " + std::to_string(file.size());
+  }
+  const auto body = file.subspan(kFrameHeaderBytes, payload_len);
+  if (load_u64(h + kFrameHeaderBytes + payload_len) != xxh64(body)) {
+    return "payload checksum mismatch";
+  }
+  *payload = body;
+  *version = load_u32(h + 16);
+  return {};
+}
+
+}  // namespace
+
 FramedRead read_framed(const std::string& path, std::uint64_t magic,
                        bool quarantine_corrupt) {
   FramedRead r;
@@ -311,30 +345,10 @@ FramedRead read_framed(const std::string& path, std::uint64_t magic,
   }
   f.reset();
 
-  if (bytes.size() < kFrameOverheadBytes) {
-    return corrupt("truncated frame (" + std::to_string(bytes.size()) +
-                   " bytes)");
-  }
-  const std::byte* h = bytes.data();
-  if (load_u64(h + 0) != kFrameMagic) return corrupt("bad frame magic");
-  if (load_u64(h + 32) != xxh64(std::span<const std::byte>(h, 32))) {
-    return corrupt("header checksum mismatch");
-  }
-  if (load_u64(h + 8) != magic) return corrupt("foreign artifact magic");
-  const std::uint64_t payload_len = load_u64(h + 24);
-  if (payload_len != bytes.size() - kFrameOverheadBytes) {
-    return corrupt("payload length " + std::to_string(payload_len) +
-                   " does not match file size " +
-                   std::to_string(bytes.size()));
-  }
-  const std::span<const std::byte> payload(h + kFrameHeaderBytes,
-                                           payload_len);
-  if (load_u64(h + kFrameHeaderBytes + payload_len) != xxh64(payload)) {
-    return corrupt("payload checksum mismatch");
-  }
-
+  std::span<const std::byte> payload;
+  std::string why = check_frame(bytes, magic, &payload, &r.version);
+  if (!why.empty()) return corrupt(std::move(why));
   r.status = ReadStatus::Ok;
-  r.version = load_u32(h + 16);
   r.payload.assign(payload.begin(), payload.end());
   metrics().reads_ok.add();
   return r;
@@ -412,10 +426,8 @@ FramedView read_framed_mapped(const std::string& path, std::uint64_t magic,
     return fallback_buffered(path, magic, quarantine_corrupt);
   }
   const auto size = static_cast<std::size_t>(st.st_size);
-  if (size < kFrameOverheadBytes) {
-    ::close(fd);
-    return corrupt("truncated frame (" + std::to_string(size) + " bytes)");
-  }
+  // A zero-length file cannot be mapped; the buffered path reports it as a
+  // truncated frame. Any other short file fails check_frame below.
   void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping holds its own reference to the file
   if (base == MAP_FAILED) {
@@ -425,26 +437,11 @@ FramedView read_framed_mapped(const std::string& path, std::uint64_t magic,
   keep->base = base;
   keep->length = size;
 
-  // Identical validation sequence to read_framed, against the mapping.
-  const auto* h = static_cast<const std::byte*>(base);
-  if (load_u64(h + 0) != kFrameMagic) return corrupt("bad frame magic");
-  if (load_u64(h + 32) != xxh64(std::span<const std::byte>(h, 32))) {
-    return corrupt("header checksum mismatch");
-  }
-  if (load_u64(h + 8) != magic) return corrupt("foreign artifact magic");
-  const std::uint64_t payload_len = load_u64(h + 24);
-  if (payload_len != size - kFrameOverheadBytes) {
-    return corrupt("payload length " + std::to_string(payload_len) +
-                   " does not match file size " + std::to_string(size));
-  }
-  const std::span<const std::byte> payload(h + kFrameHeaderBytes, payload_len);
-  if (load_u64(h + kFrameHeaderBytes + payload_len) != xxh64(payload)) {
-    return corrupt("payload checksum mismatch");
-  }
-
+  std::string why =
+      check_frame({static_cast<const std::byte*>(base), size}, magic,
+                  &v.payload, &v.version);
+  if (!why.empty()) return corrupt(std::move(why));
   v.status = ReadStatus::Ok;
-  v.version = load_u32(h + 16);
-  v.payload = payload;
   v.keepalive = std::move(keep);
   v.mapped = true;
   metrics().reads_ok.add();

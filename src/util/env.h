@@ -20,23 +20,8 @@
 //                         explicitly via CheckpointPolicy::path)
 //   GEOLOC_CHECKPOINT_EVERY=N   checkpoint cadence in completed rounds
 //                         (default 1 = every round boundary)
-//   GEOLOC_SERVE_PORT=N   TCP port for serve::Server (default 0 =
-//                         kernel-assigned; printed at startup)
-//   GEOLOC_SERVE_THREADS=N       epoll worker threads (default
-//                         min(cores, 4), clamped to max_threads())
-//   GEOLOC_SERVE_MAX_CONNS=N     admission limit; connections past it get
-//                         one typed OVERLOADED reply and a close
-//   GEOLOC_SERVE_MAX_BATCH=N     addresses per batch request (default 2048)
-//   GEOLOC_SERVE_READ_DEADLINE_MS / GEOLOC_SERVE_WRITE_DEADLINE_MS
-//                         per-connection deadlines (default 5000, capped
-//                         at 60000 — the slowloris defense must fire)
-//   GEOLOC_SERVE_DRAIN_MS=N      graceful-stop flush budget (default 2000)
-//   GEOLOC_SERVE_MAX_OUTQ=N      per-connection output-queue bound, bytes
-//                         (default 1 MiB; backpressure past it)
-//   GEOLOC_SERVE_MAX_OUTSTANDING=N  server-wide queued-reply bound, bytes
-//                         (default 8 MiB; requests shed past it)
 //   GEOLOC_SERVE_REMEASURE_CAP=N    stale-prefix queue bound (default
-//                         65536; drops counted on serve.remeasure_dropped)
+//                         65536; drops counted on RemeasureQueue::dropped())
 //   GEOLOC_SPATIAL_MAX_CELLS=N   covering budget for spatial index queries
 //                         (default 64, clamped to [4, 4096]; more cells =
 //                         tighter coverings, fewer false candidates)
@@ -74,33 +59,10 @@
 //   GEOLOC_LONG_DEBUG=1   longitudinal driver: per-epoch policy
 //                         diagnostics on stderr (selection quality vs
 //                         ground truth; eval/longitudinal.cpp)
-//   GEOLOC_HINT_COVERAGE_PM=N   fraction of targets with an rDNS-style
-//                         hint, permille (sim/evidence.h; default 600)
-//   GEOLOC_HINT_LIE_PM=N  fraction of hints that lie, permille
-//                         (default 100)
-//   GEOLOC_HINT_NOISE_KM=N      mean radial jitter of a hint around its
-//                         hinted place, km (default 15)
-//   GEOLOC_FEED_COVERAGE_PM=N   fraction of target /24s listed in some
-//                         operator geofeed, permille (default 500)
-//   GEOLOC_FEED_STALE_PM=N      honest-feed stale-entry rate, permille
-//                         (default 50)
-//   GEOLOC_FEED_COUNT=N   operator feeds the universe splits across
-//                         (default 4)
-//   GEOLOC_FEED_ADVERSARIAL=N   how many of those feeds lie (default 0)
-//   GEOLOC_FEED_LIE_PM=N  per-entry lie rate of an adversarial feed,
-//                         permille (default 800)
-//   GEOLOC_FUSION_QUARANTINE_PM=N  rejection-rate threshold that
-//                         quarantines an evidence source, permille
-//                         (fusion/trust.h; default 400)
-//   GEOLOC_FUSION_MIN_OBS=N     conclusive verifications before a source
-//                         can be judged (default 5)
-//   GEOLOC_FUSION_PROBATION=N   epochs a quarantined source sits out
-//                         (default 2)
-//   GEOLOC_FUSION_SLACK_KM=N    geometric + active-verification slack, km
-//                         (fusion/engine.h; default 100)
-//   GEOLOC_FUSION_VERIFY_K=N    nearest VPs pinged per claim (default 4)
-//   GEOLOC_FUSION_MIN_CONCLUSIVE=N  answered verification pings needed
-//                         for an accept (default 2)
+//
+// Server, fusion and evidence tunables have no knob: they are the fields of
+// serve::ServerConfig, fusion::EngineConfig, fusion::TrustConfig,
+// sim::HintConfig and sim::FeedConfig, set in code.
 #pragma once
 
 #include <algorithm>

@@ -100,8 +100,8 @@ TEST(TrustTracker, ProbationWindowIsConfigurable) {
   EXPECT_TRUE(t.consult("evil.example"));
 }
 
-TEST(TrustTracker, FromEnvUsesDefaultsWhenUnset) {
-  const TrustConfig c = TrustConfig::from_env();
+TEST(TrustTracker, DefaultConfig) {
+  const TrustConfig c;
   EXPECT_DOUBLE_EQ(c.quarantine_rejection_rate, 0.4);
   EXPECT_EQ(c.min_observations, 5u);
   EXPECT_EQ(c.probation_epochs, 2u);

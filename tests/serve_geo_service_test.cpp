@@ -139,6 +139,30 @@ TEST(GeoService, BatchServesOneConsistentVersion) {
   EXPECT_EQ(out[0].dataset_version, out[1].dataset_version);
 }
 
+TEST(GeoService, BatchCountsEachAddressOnce) {
+  GeoService service(make_snapshot(
+      {make_record("10.0.0.0/24", 1.0, /*ttl_s=*/100.0f, /*measured_at=*/0.0),
+       make_record("10.0.1.0/24", 2.0, /*ttl_s=*/0.0f, 0.0)},
+      1));
+  // Hits at 10.0.0.7 (stale at now == 250) and 10.0.1.1 (never stale),
+  // misses at 99.0.0.1 and 192.168.0.1; the stale address twice.
+  const std::vector<net::IPv4Address> addrs = {
+      addr("10.0.0.7"), addr("10.0.1.1"), addr("99.0.0.1"),
+      addr("10.0.0.7"), addr("192.168.0.1")};
+  std::vector<Answer> out(addrs.size());
+  service.lookup_batch(addrs, /*now_s=*/250.0, out);
+  EXPECT_TRUE(out[0].stale);
+  EXPECT_FALSE(out[1].stale);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
+  EXPECT_EQ(stats.lookups, 5u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.stale_hits, 2u);
+  EXPECT_EQ(service.remeasure_queue().size(), 1u);  // deduplicated
+}
+
 TEST(GeoService, StalePrefixScanFindsExpiredEntries) {
   GeoService service(make_snapshot(
       {make_record("10.0.0.0/24", 1.0, /*ttl_s=*/10.0f, /*measured_at=*/0.0),
