@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <string>
 #include <unordered_set>
@@ -109,15 +107,6 @@ bool load_state(const std::string& dir, DriverState* st) {
          p.pod(st->dataset_version) && p.pod(st->total_credits) &&
          p.pod(st->query_err_sum) && p.pod(st->epochs_scored) &&
          p.exhausted();
-}
-
-std::vector<std::byte> read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::vector<char> buf((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  const auto* b = reinterpret_cast<const std::byte*>(buf.data());
-  return std::vector<std::byte>(b, b + buf.size());
 }
 
 /// Stale entries of a snapshot at `now`, oldest measurement first (ties
@@ -328,7 +317,8 @@ LongitudinalResult run_longitudinal(scenario::Scenario& s,
     // (in case the run was already complete) and is re-derived below
     // after every further published epoch.
     result.final_snapshot_bytes =
-        read_file_bytes(snapshot_path(cfg.state_dir, st.last_epoch));
+        util::durable::read_file(snapshot_path(cfg.state_dir, st.last_epoch))
+            .bytes;
   }
 
   serve::GeoService service(current);

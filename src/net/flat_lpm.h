@@ -40,16 +40,21 @@ class FlatLpm {
 
   FlatLpm() = default;
 
-  /// Freeze a prefix set. Consumes the entries (they are sorted in place).
+  /// Freeze a prefix set. Consumes the entries (they are sorted in place
+  /// unless already in (network, length) order).
   static FlatLpm build(std::vector<std::pair<Prefix, Value>> entries) {
     FlatLpm t;
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const auto& a, const auto& b) {
-                       if (a.first.network() != b.first.network()) {
-                         return a.first.network() < b.first.network();
-                       }
-                       return a.first.length() < b.first.length();
-                     });
+    const auto less = [](const auto& a, const auto& b) {
+      if (a.first.network() != b.first.network()) {
+        return a.first.network() < b.first.network();
+      }
+      return a.first.length() < b.first.length();
+    };
+    // A stable sort of a sorted range is the identity, so already-ordered
+    // input (a validated snapshot's entries) skips it.
+    if (!std::is_sorted(entries.begin(), entries.end(), less)) {
+      std::stable_sort(entries.begin(), entries.end(), less);
+    }
     t.slots_.reserve(entries.size());
     for (auto& [prefix, value] : entries) {
       if (!t.slots_.empty() && t.slots_.back().prefix == prefix) {

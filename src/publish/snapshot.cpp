@@ -1,8 +1,8 @@
 #include "publish/snapshot.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <cstdio>
 #include <cstring>
 #include <unordered_map>
 #include <utility>
@@ -65,10 +65,60 @@ bool fail(std::string* error, std::string message) {
   return false;
 }
 
-/// (network, length) ordering shared by the builder and the validator.
+/// (network, length) ordering the validator checks; BuildKey::prefix packs
+/// the same order for the builder's sort.
 bool prefix_less(const net::Prefix& a, const net::Prefix& b) noexcept {
   if (a.network() != b.network()) return a.network() < b.network();
   return a.length() < b.length();
+}
+
+/// One builder record, in the compact form the build sorts.
+struct BuildKey {
+  std::uint64_t prefix;      ///< network << 8 | length: (network, length) order
+  std::uint32_t index;       ///< insertion index
+  std::uint32_t provenance;  ///< interned provenance string id
+};
+
+/// The build order: (network, length), then insertion index.
+bool key_less(const BuildKey& a, const BuildKey& b) noexcept {
+  return a.prefix != b.prefix ? a.prefix < b.prefix : a.index < b.index;
+}
+
+/// Sort [first, last) by (prefix, index) in place: an MSD radix sort on
+/// the prefix byte at `shift` and below (American-flag partitions, a byte
+/// all keys share costs no permutation), with std::sort for small or
+/// single-prefix ranges. In place, because a second key array would add
+/// its size to the publisher's peak memory.
+void sort_keys(BuildKey* first, BuildKey* last, int shift) {
+  constexpr std::ptrdiff_t kSmall = 32;
+  const auto digit = [&shift](const BuildKey& k) {
+    return static_cast<std::size_t>((k.prefix >> shift) & 0xFF);
+  };
+  for (; shift >= 0 && last - first > kSmall; shift -= 8) {
+    std::array<std::size_t, 257> start{};  // bucket b: [start[b], start[b+1])
+    for (const BuildKey* k = first; k != last; ++k) ++start[digit(*k) + 1];
+    if (start[digit(*first) + 1] == static_cast<std::size_t>(last - first)) {
+      continue;  // one bucket: every key shares this byte
+    }
+    for (std::size_t b = 0; b < 256; ++b) start[b + 1] += start[b];
+    std::array<std::size_t, 256> next{};  // first unplaced slot per bucket
+    std::copy(start.begin(), start.end() - 1, next.begin());
+    for (std::size_t b = 0; b < 256; ++b) {
+      while (next[b] < start[b + 1]) {
+        const std::size_t d = digit(first[next[b]]);
+        if (d == b) {
+          ++next[b];
+        } else {
+          std::swap(first[next[b]], first[next[d]++]);
+        }
+      }
+    }
+    for (std::size_t b = 0; b < 256; ++b) {
+      sort_keys(first + start[b], first + start[b + 1], shift - 8);
+    }
+    return;
+  }
+  std::sort(first, last, key_less);
 }
 
 }  // namespace
@@ -108,52 +158,68 @@ void SnapshotBuilder::add(std::span<const Record> records) {
 }
 
 std::vector<std::byte> SnapshotBuilder::build(const SnapshotMeta& meta) const {
-  // Sort by (network, length); among duplicates of the same prefix the
-  // last-added record wins.
-  std::vector<const Record*> order;
-  order.reserve(records_.size());
-  for (const Record& r : records_) order.push_back(&r);
-  std::stable_sort(order.begin(), order.end(),
-                   [](const Record* a, const Record* b) {
-                     return prefix_less(a->prefix, b->prefix);
-                   });
-  std::vector<const Record*> kept;
-  kept.reserve(order.size());
-  for (const Record* r : order) {
-    if (!kept.empty() && kept.back()->prefix == r->prefix) {
-      kept.back() = r;  // stable sort kept insertion order within ties
-    } else {
-      kept.push_back(r);
-    }
-  }
-
-  // String pool: snapshot source first, then per-entry provenance,
-  // deduplicated.
-  std::vector<char> pool;
-  std::unordered_map<std::string_view, std::uint32_t> interned;
-  const auto intern = [&](std::string_view s) -> std::uint32_t {
-    if (s.empty()) return 0;
-    if (const auto it = interned.find(s); it != interned.end()) {
-      return it->second;
-    }
-    const auto offset = static_cast<std::uint32_t>(pool.size());
-    pool.insert(pool.end(), s.begin(), s.end());
-    interned.emplace(s, offset);
-    return offset;
+  // One sequential pass over the records in insertion order: pack each
+  // prefix into a sort key and intern its provenance, giving every distinct
+  // string a dense id (the source first, so a provenance equal to it shares
+  // its bytes).
+  std::unordered_map<std::string_view, std::uint32_t> ids;
+  std::vector<std::string_view> strings;  // by id
+  const auto intern = [&](std::string_view s) {
+    const auto [it, added] =
+        ids.try_emplace(s, static_cast<std::uint32_t>(strings.size()));
+    if (added) strings.push_back(s);
+    return it->second;
   };
-  const std::uint32_t source_offset = intern(meta.source);
-  std::vector<std::uint32_t> provenance_offsets(kept.size());
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    provenance_offsets[i] = intern(kept[i]->provenance);
+  const std::uint32_t source_id = intern(meta.source);
+  std::vector<BuildKey> keys(records_.size());
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    const Record& r = records_[i];
+    keys[i] = BuildKey{(std::uint64_t{r.prefix.network().value()} << 8) |
+                           static_cast<std::uint64_t>(r.prefix.length()),
+                       static_cast<std::uint32_t>(i), intern(r.provenance)};
   }
 
-  const std::size_t total =
-      kHeaderBytes + kept.size() * kEntryStride + pool.size();
+  // Sort by (network, length, insertion index), starting from the top byte
+  // of the 40-bit packed prefix, without touching a record. The last key
+  // of each run of duplicate prefixes is the last-added record, which wins.
+  sort_keys(keys.data(), keys.data() + keys.size(), /*shift=*/32);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i + 1 < keys.size() && keys[i + 1].prefix == keys[i].prefix) continue;
+    keys[kept++] = keys[i];
+  }
+  keys.resize(kept);
+
+  // String pool: the source first, then each provenance at its first
+  // appearance in entry order; empty strings take no bytes (offset 0).
+  constexpr std::uint32_t kUnplaced = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> offset_of(strings.size(), kUnplaced);
+  std::vector<char> pool;
+  const auto place = [&](std::uint32_t id) {
+    if (offset_of[id] == kUnplaced) {
+      const std::string_view s = strings[id];
+      offset_of[id] = s.empty() ? 0 : static_cast<std::uint32_t>(pool.size());
+      pool.insert(pool.end(), s.begin(), s.end());
+    }
+  };
+  place(source_id);
+  for (const BuildKey& k : keys) place(k.provenance);
+
+  const std::size_t total = kHeaderBytes + kept * kEntryStride + pool.size();
   std::vector<std::byte> out(total);
 
+  // Entry order visits the records at random: prefetch a few entries ahead
+  // so the cache misses overlap instead of serialising.
+  constexpr std::size_t kPrefetchAhead = 16;
   std::byte* e = out.data() + kHeaderBytes;
-  for (std::size_t i = 0; i < kept.size(); ++i, e += kEntryStride) {
-    const Record& r = *kept[i];
+  for (std::size_t i = 0; i < kept; ++i) {
+    if (i + kPrefetchAhead < kept) {
+      const auto* ahead = reinterpret_cast<const char*>(
+          &records_[keys[i + kPrefetchAhead].index]);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + sizeof(Record) - 1);
+    }
+    const Record& r = records_[keys[i].index];
     store_u32(e + 0, r.prefix.network().value());
     e[4] = static_cast<std::byte>(r.prefix.length());
     e[5] = static_cast<std::byte>(r.method);
@@ -164,13 +230,15 @@ std::vector<std::byte> SnapshotBuilder::build(const SnapshotMeta& meta) const {
     store_f64(e + 24, r.measured_at_s);
     store_f32(e + 32, r.confidence_radius_km);
     store_f32(e + 36, r.ttl_s);
-    store_u32(e + 40, provenance_offsets[i]);
+    store_u32(e + 40, offset_of[keys[i].provenance]);
     store_u32(e + 44, static_cast<std::uint32_t>(r.provenance.size()));
+    e += kEntryStride;
   }
   if (!pool.empty()) {
-    std::memcpy(out.data() + kHeaderBytes + kept.size() * kEntryStride,
-                pool.data(), pool.size());
+    std::memcpy(out.data() + kHeaderBytes + kept * kEntryStride, pool.data(),
+                pool.size());
   }
+  const std::uint32_t source_offset = offset_of[source_id];
 
   std::byte* h = out.data();
   store_u32(h + 0, kMagic);
@@ -178,7 +246,7 @@ std::vector<std::byte> SnapshotBuilder::build(const SnapshotMeta& meta) const {
   store_u16(h + 6, static_cast<std::uint16_t>(kHeaderBytes));
   store_u32(h + 8, meta.dataset_version);
   store_u32(h + 12, static_cast<std::uint32_t>(kEntryStride));
-  store_u64(h + 16, kept.size());
+  store_u64(h + 16, kept);
   store_u64(h + 24, pool.size());
   store_f64(h + 32, meta.created_at_s);
   store_u32(h + 40, source_offset);
@@ -330,24 +398,12 @@ std::shared_ptr<const Snapshot> Snapshot::from_bytes(
 std::shared_ptr<const Snapshot> Snapshot::load(const std::string& path,
                                                std::string* error,
                                                bool quarantine_corrupt) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    fail(error, "snapshot: cannot open: " + path);
+  util::durable::FileBytes file = util::durable::read_file(path);
+  if (file.status != util::durable::ReadStatus::Ok) {
+    fail(error, std::string("snapshot: ") + file.what + ": " + path);
     return nullptr;
   }
-  std::vector<std::byte> bytes;
-  std::byte buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    fail(error, "snapshot: read error: " + path);
-    return nullptr;
-  }
-  auto snap = from_bytes(std::move(bytes), error);
+  auto snap = from_bytes(std::move(file.bytes), error);
   // The file existed and was readable but failed validation: quarantine it
   // so the publisher's next write starts clean and retries don't spin on
   // the same bad bytes (util/durable.h quarantine semantics).

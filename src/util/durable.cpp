@@ -259,6 +259,48 @@ bool quarantine(const std::string& path) {
   return renamed;
 }
 
+FileBytes read_file(const std::string& path) {
+  FileBytes f;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    f.status = errno == ENOENT ? ReadStatus::NotFound : ReadStatus::IoError;
+    f.what = "cannot open";
+    return f;
+  }
+  struct ::stat st {};
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok) {
+    // Pre-sized to the whole file: no chunk copies, no vector doubling.
+    // Size-less files (st_size 0: pipes, procfs) and growth past the fstat
+    // size go through the small spill buffer.
+    f.bytes.resize(st.st_size > 0 ? static_cast<std::size_t>(st.st_size) : 0);
+    std::size_t have = 0;
+    for (;;) {
+      std::byte spill[4096];
+      const bool full = have == f.bytes.size();
+      std::byte* dst = full ? spill : f.bytes.data() + have;
+      const std::size_t room = full ? sizeof spill : f.bytes.size() - have;
+      const ssize_t n = ::read(fd, dst, room);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        ok = n == 0;
+        break;
+      }
+      if (full) f.bytes.insert(f.bytes.end(), spill, spill + n);
+      have += static_cast<std::size_t>(n);
+    }
+    f.bytes.resize(have);  // the file shrank after fstat
+  }
+  ::close(fd);
+  if (!ok) {
+    f.bytes = {};
+    f.what = "read error";
+    return f;
+  }
+  f.status = ReadStatus::Ok;
+  return f;
+}
+
 // -- framed files -----------------------------------------------------------
 
 bool write_framed(const std::string& path, std::uint64_t magic,
@@ -324,29 +366,16 @@ FramedRead read_framed(const std::string& path, std::uint64_t magic,
     return r;
   };
 
-  FilePtr f{std::fopen(path.c_str(), "rb")};
-  if (!f) {
-    r.status = errno == ENOENT ? ReadStatus::NotFound : ReadStatus::IoError;
-    r.error = "durable: cannot open: " + path;
+  const FileBytes file = read_file(path);
+  if (file.status != ReadStatus::Ok) {
+    r.status = file.status;
+    r.error = std::string("durable: ") + file.what + ": " + path;
     if (r.status == ReadStatus::NotFound) metrics().reads_missing.add();
     return r;
   }
 
-  std::vector<std::byte> bytes;
-  std::byte buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f.get())) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  if (std::ferror(f.get()) != 0) {
-    r.status = ReadStatus::IoError;
-    r.error = "durable: read error: " + path;
-    return r;
-  }
-  f.reset();
-
   std::span<const std::byte> payload;
-  std::string why = check_frame(bytes, magic, &payload, &r.version);
+  std::string why = check_frame(file.bytes, magic, &payload, &r.version);
   if (!why.empty()) return corrupt(std::move(why));
   r.status = ReadStatus::Ok;
   r.payload.assign(payload.begin(), payload.end());

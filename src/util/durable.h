@@ -100,6 +100,20 @@ enum class ReadStatus : std::uint8_t {
   Corrupt,   ///< bad frame: wrong magic, bad length, failed checksum
 };
 
+/// A whole file's bytes, as read by read_file.
+struct FileBytes {
+  ReadStatus status = ReadStatus::IoError;  ///< Ok, NotFound or IoError
+  std::vector<std::byte> bytes;             ///< the file's bytes (when Ok)
+  const char* what = "";  ///< "cannot open" or "read error" (when not Ok)
+};
+
+/// Read the whole file at `path` with one fstat and one read into a buffer
+/// of that size; a file that grows meanwhile is still read to its end.
+/// NotFound when nothing exists at `path`, IoError when the open fails for
+/// another reason or the read fails. No validation, quarantine or
+/// counters: the framed and snapshot readers add their own.
+[[nodiscard]] FileBytes read_file(const std::string& path);
+
 struct FramedRead {
   ReadStatus status = ReadStatus::IoError;
   std::uint32_t version = 0;        ///< caller format version (valid when Ok)

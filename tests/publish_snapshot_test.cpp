@@ -1,18 +1,22 @@
 // Snapshot format: write -> read roundtrip (property-style, multiple
-// seeds), determinism, and the corruption battery — bad magic, bad CRCs,
-// truncation at every region, semantic invalidity. A rejected file must
-// produce a clean error, never UB (the suite runs under the sanitize and
-// tsan presets).
+// seeds), determinism, byte identity with the reference builder
+// (snapshot_reference.h), CRC-32 known answers, and the corruption
+// battery — bad magic, bad CRCs, truncation at every region, semantic
+// invalidity. A rejected file must produce a clean error, never UB (the
+// suite runs under the sanitize and tsan presets).
 #include "publish/snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "snapshot_reference.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 
@@ -201,6 +205,116 @@ TEST(SnapshotFormat, EmptySnapshotIsValid) {
   ASSERT_NE(snap, nullptr) << error;
   EXPECT_TRUE(snap->empty());
   EXPECT_FALSE(snap->find(net::IPv4Address{1}).has_value());
+}
+
+// -- byte identity with the reference builder -------------------------------
+
+/// Records that exercise every ordering rule of the builder: duplicate
+/// prefixes (the last add wins), prefixes nested in earlier ones, empty,
+/// shared and unique provenance (one string equal to the snapshot source),
+/// all in shuffled insertion order. With `in_one_slash16` every prefix
+/// lies inside 10.1.0.0/16, so the sort keys share their top bytes.
+std::vector<Record> oracle_records(std::uint64_t seed, std::size_t n,
+                                   bool in_one_slash16 = false) {
+  Pcg32 gen(seed);
+  const std::string shared[] = {"", "unit-test campaign",
+                                "cbg/all-vps:obs=10723", "geodb/IPinfo",
+                                "x"};
+  std::vector<Record> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    Record r = random_record(gen);
+    const std::uint32_t roll = gen.bounded(10);
+    if (!out.empty() && roll < 2) {
+      r.prefix = out[gen.bounded(out.size())].prefix;  // duplicate
+    } else if (!out.empty() && roll < 4) {
+      const net::Prefix& outer = out[gen.bounded(out.size())].prefix;
+      r.prefix = net::Prefix{outer.network(),  // nested, either way
+                             static_cast<int>(gen.bounded(33))};
+    }
+    r.provenance = roll == 9 ? "unique-" + std::to_string(out.size())
+                             : shared[gen.bounded(5)];
+    if (in_one_slash16) {
+      r.prefix = net::Prefix{
+          net::IPv4Address{0x0A010000u | (r.prefix.network().value() & 0xFFFF)},
+          std::max(16, r.prefix.length())};
+    }
+    out.push_back(std::move(r));
+  }
+  for (std::size_t i = out.size(); i > 1; --i) {
+    std::swap(out[i - 1], out[gen.bounded(static_cast<std::uint32_t>(i))]);
+  }
+  return out;
+}
+
+TEST(SnapshotBuilderOracle, ByteIdenticalToReferenceOnRandomRecordSets) {
+  const SnapshotMeta metas[] = {
+      test_meta(), SnapshotMeta{.dataset_version = 2, .source = ""},
+      SnapshotMeta{.dataset_version = 3, .source = "x"}};
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 42ULL, 20230415ULL}) {
+    for (const std::size_t n : {0u, 1u, 2u, 17u, 500u, 3000u}) {
+      for (const bool in_one_slash16 : {false, true}) {
+        const auto records = oracle_records(seed, n, in_one_slash16);
+        for (const SnapshotMeta& meta : metas) {
+          EXPECT_EQ(build_bytes(records, meta),
+                    testing::reference_snapshot(records, meta))
+              << "seed " << seed << ", " << n << " records, source '"
+              << meta.source << "', in one /16: " << in_one_slash16;
+        }
+      }
+    }
+  }
+}
+
+TEST(SnapshotBuilderOracle, ByteIdenticalToReferenceOn200kRecords) {
+  const auto records = oracle_records(7, 200'000);
+  EXPECT_EQ(build_bytes(records, test_meta()),
+            testing::reference_snapshot(records, test_meta()));
+}
+
+// -- CRC-32 -----------------------------------------------------------------
+
+std::span<const std::byte> as_bytes(std::string_view s) {
+  return std::as_bytes(std::span<const char>(s.data(), s.size()));
+}
+
+std::vector<std::byte> random_bytes(std::uint64_t seed, std::size_t n) {
+  Pcg32 gen(seed);
+  std::vector<std::byte> out(n);
+  for (std::byte& b : out) b = static_cast<std::byte>(gen.bounded(256));
+  return out;
+}
+
+TEST(SnapshotCrc32, KnownAnswers) {
+  EXPECT_EQ(util::crc32(as_bytes("123456789")), 0xCBF43926u);
+  EXPECT_EQ(util::crc32({}), 0u);
+  EXPECT_EQ(testing::reference_crc32(as_bytes("123456789")), 0xCBF43926u);
+}
+
+TEST(SnapshotCrc32, ContinuingThroughSeedAtEverySplitEqualsOneShot) {
+  const auto buf = random_bytes(1, 1024);
+  const std::span<const std::byte> all(buf);
+  const std::uint32_t one_shot = util::crc32(all);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    EXPECT_EQ(util::crc32(all.subspan(split), util::crc32(all.first(split))),
+              one_shot)
+        << "split at " << split;
+  }
+}
+
+TEST(SnapshotCrc32, MatchesByteAtATimeReferenceAtEveryLengthAndOffset) {
+  const auto buf = random_bytes(2, 8 + 64);
+  const std::span<const std::byte> all(buf);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const auto part = all.subspan(offset, len);
+      EXPECT_EQ(util::crc32(part), testing::reference_crc32(part))
+          << "offset " << offset << ", length " << len;
+      EXPECT_EQ(util::crc32(part, 0xDEADBEEFu),
+                testing::reference_crc32(part, 0xDEADBEEFu))
+          << "seeded, offset " << offset << ", length " << len;
+    }
+  }
 }
 
 // -- corruption battery ----------------------------------------------------
