@@ -25,6 +25,7 @@
 #include "sim/latency_model.h"
 #include "util/durable.h"
 #include "util/parallel.h"
+#include "util/procstat.h"
 #include "util/rng.h"
 
 namespace {
@@ -73,11 +74,20 @@ void BM_PruneDominated(benchmark::State& state) {
 }
 BENCHMARK(BM_PruneDominated)->Arg(8)->Arg(24)->Arg(64);
 
+/// Heap allocations per iteration since `allocs0`, as a benchmark counter.
+void report_allocs(benchmark::State& state, std::uint64_t allocs0) {
+  state.counters["allocs_per_call"] =
+      static_cast<double>(util::procstat::alloc_count() - allocs0) /
+      static_cast<double>(state.iterations());
+}
+
 void BM_IntersectDisks(benchmark::State& state) {
   const auto disks = make_disks(static_cast<int>(state.range(0)), 4);
+  const std::uint64_t allocs0 = util::procstat::alloc_count();
   for (auto _ : state) {
     benchmark::DoNotOptimize(geo::intersect_disks(disks));
   }
+  report_allocs(state, allocs0);
 }
 BENCHMARK(BM_IntersectDisks)->Arg(4)->Arg(12)->Arg(24);
 
@@ -91,9 +101,11 @@ void BM_CbgGeolocate(benchmark::State& state) {
         geo::destination(truth, gen.uniform(0.0, 360.0), d);
     obs.push_back({vp, geo::distance_to_min_rtt_ms(d) * 1.2 + 1.0});
   }
+  const std::uint64_t allocs0 = util::procstat::alloc_count();
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::cbg_geolocate(obs));
   }
+  report_allocs(state, allocs0);
 }
 BENCHMARK(BM_CbgGeolocate)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 

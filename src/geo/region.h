@@ -46,22 +46,15 @@ std::vector<Disk> prune_dominated(std::span<const Disk> disks);
 /// Intersect `disks` and estimate the feasible region.
 /// An empty input yields an empty region.
 ///
-/// The polar sampling grid is routed through spatial:: coverings: the
-/// window disk is covered with hierarchy cells, each cell is classified
-/// against every constraint once (provably-outside / provably-inside /
-/// boundary), and each grid point then tests only its cell's boundary
-/// constraints. Classification uses the covering's conservative bounds, so
-/// the feasible set — and therefore every Region field — is byte-identical
-/// to the direct all-constraints scan (intersect_disks_reference; pinned
-/// by tests/spatial_region_grid_test.cpp).
+/// Each grid point is first tested with unit-vector dot products against
+/// margin-widened thresholds (provably inside / provably outside); only
+/// points within the margin of some boundary run the exact Disk::contains.
+/// The pre-test is a conservative proof, so every Region field is
+/// byte-identical to the plain all-constraints scan (pinned by
+/// tests/spatial_region_grid_test.cpp against tests/region_reference.h).
+/// Reuses per-thread scratch: the returned samples are the only allocation.
 Region intersect_disks(std::span<const Disk> disks,
                        const RegionOptions& options = {});
-
-/// The pre-covering reference implementation: every grid point tests every
-/// constraint disk directly. Kept as the byte-identity oracle for the
-/// covering-routed grid; not for production use.
-Region intersect_disks_reference(std::span<const Disk> disks,
-                                 const RegionOptions& options = {});
 
 /// True when `p` satisfies every constraint.
 bool region_contains(std::span<const Disk> disks, const GeoPoint& p) noexcept;

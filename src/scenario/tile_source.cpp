@@ -32,6 +32,18 @@ TileMetrics& tile_metrics() {
 
 constexpr std::size_t kMaxColumns = std::size_t{1} << 20;
 
+/// Per-worker synthesis buffers, reused row after row: the city-pair
+/// draws (reset per row, O(1)) and the row's base RTTs.
+struct RowScratch {
+  sim::LatencyModel::CityPairCache cache;
+  std::vector<double> base;
+};
+
+RowScratch& row_scratch() {
+  thread_local RowScratch s;
+  return s;
+}
+
 }  // namespace
 
 TileShape tile_shape_from_env() {
@@ -161,16 +173,17 @@ void RttTileSource::generate(std::size_t vp_block, std::size_t target_block,
       tile_rows,
       [&](std::size_t rr) {
         const std::size_t r = out.vp_begin + rr;
-        sim::LatencyModel::CityPairCache cache;
-        std::vector<double> base(tile_cols * g);
+        RowScratch& scratch = row_scratch();
+        scratch.cache.reset();
+        scratch.base.resize(tile_cols * g);
         campaign_.latency->base_rtt_ms_batch(vp_soa_, r, dst_soa_,
                                              out.target_begin * g,
-                                             out.target_end * g, cache,
-                                             base.data());
+                                             out.target_end * g, scratch.cache,
+                                             scratch.base.data());
         float* row_out = out.rtt.data() + rr * tile_cols;
         for (std::size_t cc = 0; cc < tile_cols; ++cc) {
-          row_out[cc] =
-              synthesise_cell(r, out.target_begin + cc, base.data() + cc * g);
+          row_out[cc] = synthesise_cell(r, out.target_begin + cc,
+                                        scratch.base.data() + cc * g);
         }
       },
       /*grain=*/1);
@@ -216,7 +229,8 @@ float RttTileSource::at(std::size_t r, std::size_t c) {
 }
 
 float RttTileSource::cell(std::size_t r, std::size_t c) const {
-  sim::LatencyModel::CityPairCache cache;
+  sim::LatencyModel::CityPairCache& cache = row_scratch().cache;
+  cache.reset();
   double base[3];
   const std::size_t g = campaign_.group;
   campaign_.latency->base_rtt_ms_batch(vp_soa_, r, dst_soa_, c * g,

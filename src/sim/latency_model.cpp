@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "geo/constants.h"
 #include "geo/geodesy.h"
@@ -131,11 +132,19 @@ LatencyModel::PingSample LatencyModel::ping_sample_with_base(
 LatencyModel::HostSoA LatencyModel::host_soa(
     std::span<const HostId> hosts) const {
   HostSoA soa;
+  std::unordered_map<std::uint64_t, std::uint32_t> dense;
+  const auto add_city = [&](std::uint64_t city) {
+    soa.city.push_back(city);
+    soa.city_index.push_back(
+        dense.try_emplace(city, static_cast<std::uint32_t>(dense.size()))
+            .first->second);
+  };
   const std::size_t n = hosts.size();
   soa.ids.assign(hosts.begin(), hosts.end());
   soa.location.reserve(n);
   soa.points.reserve(n);
   soa.city.reserve(n);
+  soa.city_index.reserve(n);
   soa.last_mile_ms.reserve(n);
   soa.access_penalty_ms.reserve(n);
   soa.local_peering.reserve(n);
@@ -148,7 +157,7 @@ LatencyModel::HostSoA LatencyModel::host_soa(
       // unresponsive host.
       soa.location.emplace_back();
       soa.points.push_back(geo::GeoPoint{});
-      soa.city.push_back(0);
+      add_city(0);
       soa.last_mile_ms.push_back(0.0);
       soa.access_penalty_ms.push_back(0.0);
       soa.local_peering.push_back(0);
@@ -158,13 +167,21 @@ LatencyModel::HostSoA LatencyModel::host_soa(
     const Host& h = world_->host(id);
     soa.location.push_back(h.true_location);
     soa.points.push_back(h.true_location);
-    soa.city.push_back(world_->place(h.place).parent);
+    add_city(world_->place(h.place).parent);
     soa.last_mile_ms.push_back(h.last_mile_ms);
     soa.access_penalty_ms.push_back(world_->access_penalty_ms(h.place));
     soa.local_peering.push_back(world_->has_local_peering(h.place) ? 1 : 0);
     soa.responsive.push_back(h.responsive ? 1 : 0);
   }
+  soa.cities = dense.size();
   return soa;
+}
+
+void LatencyModel::CityPairCache::reset() noexcept {
+  if (++generation_ == 0) {  // wrapped: stale stamps could match again
+    std::fill(stamp_.begin(), stamp_.end(), 0u);
+    generation_ = 1;
+  }
 }
 
 void LatencyModel::base_rtt_ms_batch(const HostSoA& src, std::size_t i,
@@ -181,25 +198,35 @@ void LatencyModel::base_rtt_ms_batch(const HostSoA& src, std::size_t i,
   geo::distance_km_batch(src.location[i], dst.points, begin, end, out);
   const std::uint64_t city_a = src.city[i];
   const std::uint64_t host_a = src.ids[i];
+  if (cache.src_city_ != city_a) {
+    cache.reset();
+    cache.src_city_ = city_a;
+  }
+  if (cache.stamp_.size() < dst.cities) {
+    cache.stamp_.resize(dst.cities, 0u);
+    cache.draws_.resize(dst.cities);
+  }
   for (std::size_t j = begin; j < end; ++j) {
     const double d = out[j - begin];
     const double prop = geo::distance_to_min_rtt_ms(d);
     const std::uint64_t city_b = dst.city[j];
-    const std::uint64_t clo = std::min(city_a, city_b);
-    const std::uint64_t chi = std::max(city_a, city_b);
-    const auto [it, fresh] = cache.try_emplace((clo << 32) | chi);
-    if (fresh) {
+    CityPairDraws& draws = cache.draws_[dst.city_index[j]];
+    if (std::uint32_t& stamp = cache.stamp_[dst.city_index[j]];
+        stamp != cache.generation_) {
+      stamp = cache.generation_;
+      const std::uint64_t clo = std::min(city_a, city_b);
+      const std::uint64_t chi = std::max(city_a, city_b);
       auto cigen = keyed_gen(seed_, kInflationLabel, clo, chi);
-      it->second.inflation_city =
+      draws.inflation_city =
           cigen.lognormal(config_.inflation_mu, config_.inflation_sigma);
       auto cogen = keyed_gen(seed_, kOverheadCityLabel, clo, chi);
-      it->second.overhead_city = cogen.exponential(config_.overhead_mean_ms);
+      draws.overhead_city = cogen.exponential(config_.overhead_mean_ms);
     }
     const std::uint64_t host_b = dst.ids[j];
     const std::uint64_t hlo = std::min(host_a, host_b);
     const std::uint64_t hhi = std::max(host_a, host_b);
     auto hgen = keyed_gen(seed_, kInflationHostLabel, hlo, hhi);
-    const double raw = it->second.inflation_city *
+    const double raw = draws.inflation_city *
                        hgen.lognormal(0.0, config_.inflation_host_sigma);
     const double short_boost =
         1.0 + config_.short_path_boost_km / (d + config_.short_path_floor_km);
@@ -207,7 +234,7 @@ void LatencyModel::base_rtt_ms_batch(const HostSoA& src, std::size_t i,
     auto lgen = keyed_gen(seed_, kOverheadLocalLabel, hlo, hhi);
     const double dist_scale = 0.25 + 0.75 * std::min(1.0, d / 500.0);
     const double overhead =
-        it->second.overhead_city * dist_scale +
+        draws.overhead_city * dist_scale +
         lgen.exponential(config_.overhead_local_mean_ms);
     double penalty = 0.0;
     const bool same_city = city_a == city_b;

@@ -18,8 +18,8 @@
 // jitter, like a real path.
 #pragma once
 
+#include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/geodesy_batch.h"
@@ -106,6 +106,10 @@ class LatencyModel {
     std::vector<geo::GeoPoint> location;  ///< true locations (kernel `from` side)
     geo::PointsSoA points;                ///< true locations, precomputed terms
     std::vector<std::uint64_t> city;      ///< parent city of the host's place
+    /// Dense index of `city` within this SoA (first-appearance order), in
+    /// [0, cities): the slot a CityPairCache keeps that city's draws in.
+    std::vector<std::uint32_t> city_index;
+    std::size_t cities = 0;
     std::vector<double> last_mile_ms;
     std::vector<double> access_penalty_ms;
     std::vector<char> local_peering;      ///< has_local_peering(host.place)
@@ -124,12 +128,28 @@ class LatencyModel {
     double inflation_city = 0.0;  ///< lognormal(inflation_mu, inflation_sigma)
     double overhead_city = 0.0;   ///< exponential(overhead_mean_ms)
   };
-  using CityPairCache = std::unordered_map<std::uint64_t, CityPairDraws>;
+
+  /// The draws of one source city against every city of one destination
+  /// HostSoA: a flat array over HostSoA::city_index whose entries carry a
+  /// generation stamp, so reset() forgets them all in O(1) and a reused
+  /// cache allocates nothing. base_rtt_ms_batch resets it itself when the
+  /// source city changes; a caller that moves one cache to another
+  /// destination HostSoA must reset() it first.
+  class CityPairCache {
+   public:
+    void reset() noexcept;
+
+   private:
+    friend class LatencyModel;
+    std::vector<std::uint32_t> stamp_;  ///< entry valid iff == generation_
+    std::vector<CityPairDraws> draws_;
+    std::uint32_t generation_ = 1;
+    std::uint64_t src_city_ = 0;
+  };
 
   /// out[j - begin] = base_rtt_ms(src.ids[i], dst.ids[j]) for j in
   /// [begin, end), bit-identical to the scalar method. `cache` persists
-  /// across calls for the same row (or any rows — it is keyed on the
-  /// unordered city pair, which is row-independent).
+  /// across calls for the same `dst` (and across rows of one source city).
   void base_rtt_ms_batch(const HostSoA& src, std::size_t i, const HostSoA& dst,
                          std::size_t begin, std::size_t end,
                          CityPairCache& cache, double* out) const;

@@ -366,7 +366,7 @@ FramedRead read_framed(const std::string& path, std::uint64_t magic,
     return r;
   };
 
-  const FileBytes file = read_file(path);
+  FileBytes file = read_file(path);
   if (file.status != ReadStatus::Ok) {
     r.status = file.status;
     r.error = std::string("durable: ") + file.what + ": " + path;
@@ -378,7 +378,13 @@ FramedRead read_framed(const std::string& path, std::uint64_t magic,
   std::string why = check_frame(file.bytes, magic, &payload, &r.version);
   if (!why.empty()) return corrupt(std::move(why));
   r.status = ReadStatus::Ok;
-  r.payload.assign(payload.begin(), payload.end());
+  // Strip the header and trailer in place: the file buffer becomes the
+  // payload, with no second payload-sized allocation.
+  file.bytes.resize(kFrameHeaderBytes + payload.size());
+  file.bytes.erase(file.bytes.begin(),
+                   file.bytes.begin() + static_cast<std::ptrdiff_t>(
+                                            kFrameHeaderBytes));
+  r.payload = std::move(file.bytes);
   metrics().reads_ok.add();
   return r;
 }

@@ -1,19 +1,24 @@
-// Byte-identity of the covering-routed CBG sampling grid.
+// Byte-identity of the CBG sampling grid.
 //
-// intersect_disks routes each polar-grid point through a spatial:: covering
-// of the window disk (classify once per cell, test only boundary
-// constraints per point); intersect_disks_reference tests every constraint
-// at every point. The covering predicates are conservative proofs, never
-// approximations, so the two must agree bit-for-bit on every Region field —
-// including the exact feasible sample list and the floating-point centroid.
+// intersect_disks places grid points with hoisted trig and decides most
+// constraint tests with a margin-widened unit-vector pre-test;
+// tests/region_reference.h places every point with destination() and tests
+// every constraint with Disk::contains. The pre-test verdicts are
+// conservative proofs, never approximations, so the two must agree
+// bit-for-bit on every Region field — including the exact feasible sample
+// list and the floating-point centroid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <vector>
 
+#include "core/cbg.h"
+#include "geo/constants.h"
 #include "geo/geodesy.h"
 #include "geo/region.h"
+#include "region_reference.h"
 
 namespace geoloc::geo {
 namespace {
@@ -43,7 +48,7 @@ void expect_identical(const Region& a, const Region& b) {
 void expect_routed_matches_reference(std::span<const Disk> disks,
                                      const RegionOptions& options = {}) {
   expect_identical(intersect_disks(disks, options),
-                   intersect_disks_reference(disks, options));
+                   testing::reference_intersect_disks(disks, options));
 }
 
 TEST(SpatialRegionGrid, EmptyAndSingleDiskInputs) {
@@ -124,6 +129,143 @@ TEST(SpatialRegionGrid, ManyConstraintsTightRegion) {
   }
   expect_routed_matches_reference(disks);
   EXPECT_FALSE(intersect_disks(disks).empty);
+}
+
+TEST(SpatialRegionGrid, RadiusExactlyThroughGridPointsHitsTheMarginBand) {
+  // Constraints whose boundary passes exactly through seed-grid points:
+  // their pre-test dot products land inside the margin band, so only the
+  // exact test can decide them — and distance <= radius keeps the point.
+  const Disk seed{GeoPoint{45.0, 7.0}, 300.0};
+  const RegionOptions options{12, 24, 0};  // samples = the seed grid's
+  std::vector<Disk> all{seed};
+  // Centres ~800 km out, so each boundary disk is larger than the seed
+  // and the seed stays the window.
+  const GeoPoint far_centres[] = {{53.0, 7.0}, {45.0, -4.0}, {38.0, 12.0}};
+  const int ring[] = {11, 6, 9};
+  const int sector[] = {3, 14, 20};
+  for (int i = 0; i < 3; ++i) {
+    const double r = seed.radius_km * static_cast<double>(ring[i]) /
+                     static_cast<double>(options.rings);
+    const double bearing = 360.0 * static_cast<double>(sector[i]) /
+                           static_cast<double>(options.sectors);
+    const GeoPoint on_grid = destination(seed.center, bearing, r);
+    const Disk boundary{far_centres[i], distance_km(far_centres[i], on_grid)};
+    const std::vector<Disk> pair{seed, boundary};
+    expect_routed_matches_reference(pair, options);
+    const Region region = intersect_disks(pair, options);
+    EXPECT_NE(std::find(region.samples.begin(), region.samples.end(),
+                        on_grid),
+              region.samples.end())
+        << "grid point on the boundary of constraint " << i;
+    all.push_back(boundary);
+    expect_routed_matches_reference(all, options);
+    expect_routed_matches_reference(all);
+  }
+}
+
+TEST(SpatialRegionGrid, NearAntipodalRadii) {
+  std::uniform_real_distribution<double> radius(19'500.0, 20'015.0);
+  std::uniform_real_distribution<double> offset(50.0, 3'000.0);
+  std::uniform_real_distribution<double> bearing(0.0, 360.0);
+  for (int trial = 0; trial < 30; ++trial) {
+    const GeoPoint anchor = random_point();
+    std::vector<Disk> disks;
+    for (int i = 0; i < 3; ++i) {
+      disks.push_back(Disk{destination(anchor, bearing(rng), offset(rng)),
+                           radius(rng)});
+    }
+    expect_routed_matches_reference(disks);
+  }
+  // Radii at and past half the circumference (pi * R): no point is
+  // provably outside, every candidate near the antipode is tested exactly.
+  const double half_circumference = kPi * kEarthRadiusKm;
+  for (const double r : {half_circumference - 0.01, half_circumference,
+                         half_circumference + 0.2}) {
+    const std::vector<Disk> disks{{GeoPoint{12.0, 40.0}, r},
+                                  {GeoPoint{13.0, 41.5}, r + 1.0}};
+    expect_routed_matches_reference(disks);
+  }
+}
+
+TEST(SpatialRegionGrid, SubKilometreDisks) {
+  std::uniform_real_distribution<double> radius(0.02, 0.9);
+  std::uniform_real_distribution<double> offset(0.0, 0.5);
+  std::uniform_real_distribution<double> bearing(0.0, 360.0);
+  for (int trial = 0; trial < 40; ++trial) {
+    const GeoPoint anchor = random_point();
+    std::vector<Disk> disks;
+    for (int i = 0; i < 3; ++i) {
+      disks.push_back(Disk{destination(anchor, bearing(rng), offset(rng)),
+                           radius(rng)});
+    }
+    expect_routed_matches_reference(disks);
+  }
+}
+
+TEST(SpatialRegionGrid, CentresOnThePolesAndTheAntimeridian) {
+  const std::vector<std::vector<Disk>> cases{
+      {{GeoPoint{90.0, 0.0}, 500.0}, {GeoPoint{86.0, 30.0}, 700.0}},
+      {{GeoPoint{-90.0, 45.0}, 800.0}, {GeoPoint{-84.0, -170.0}, 900.0},
+       {GeoPoint{-88.0, 100.0}, 1'200.0}},
+      {{GeoPoint{10.0, 180.0}, 400.0}, {GeoPoint{11.0, -180.0}, 450.0}},
+      {{GeoPoint{-20.0, -180.0}, 600.0}, {GeoPoint{-21.0, 179.5}, 650.0},
+       {GeoPoint{90.0, 0.0}, 12'500.0}},
+      {{GeoPoint{90.0, 0.0}, 0.5}, {GeoPoint{89.999, 180.0}, 0.7}},
+  };
+  for (const auto& disks : cases) {
+    expect_routed_matches_reference(disks);
+    expect_routed_matches_reference(disks, RegionOptions{12, 24, 2});
+  }
+}
+
+TEST(SpatialRegionGrid, SectorCountsThatDoNotDivide360) {
+  const std::vector<Disk> disks{{GeoPoint{35.7, 139.7}, 600.0},
+                                {GeoPoint{34.7, 135.5}, 500.0},
+                                {GeoPoint{37.5, 127.0}, 1'300.0}};
+  for (const RegionOptions options :
+       {RegionOptions{7, 7, 1}, RegionOptions{5, 11, 2},
+        RegionOptions{3, 13, 0}, RegionOptions{12, 25, 1},
+        RegionOptions{9, 37, 1}}) {
+    expect_routed_matches_reference(disks, options);
+  }
+}
+
+TEST(SpatialRegionGrid, SeededPipebenchShapedCbgMatchesReference) {
+  // 10,000 CBG evaluations shaped like the campaign's: a target, three
+  // VPs 5-3000 km away, SOI-safe RTTs (inflated path + overhead). The
+  // whole cbg_geolocate result is compared with the reference region.
+  std::mt19937 gen(16);
+  std::uniform_real_distribution<double> dist_km(5.0, 3'000.0);
+  std::uniform_real_distribution<double> bearing(0.0, 360.0);
+  std::uniform_real_distribution<double> inflation(1.05, 1.8);
+  std::uniform_real_distribution<double> overhead_ms(0.0, 4.0);
+  std::uniform_real_distribution<double> lat(-70.0, 70.0);
+  std::uniform_real_distribution<double> lon(-180.0, 180.0);
+  const core::CbgConfig config;
+  for (int trial = 0; trial < 10'000; ++trial) {
+    const GeoPoint truth{lat(gen), lon(gen)};
+    std::vector<core::VpObservation> obs;
+    for (int k = 0; k < 3; ++k) {
+      const double d = dist_km(gen);
+      obs.push_back(core::VpObservation{
+          destination(truth, bearing(gen), d),
+          distance_to_min_rtt_ms(d) * inflation(gen) + overhead_ms(gen)});
+    }
+    const core::CbgResult got = core::cbg_geolocate(obs, config);
+    const Region want = testing::reference_intersect_disks(
+        core::constraint_disks(obs, config.soi_km_per_ms, config.max_disks),
+        config.region);
+    SCOPED_TRACE(trial);
+    expect_identical(got.region, want);
+    ASSERT_EQ(got.ok, !want.empty);
+    EXPECT_EQ(got.estimate.lat_deg, want.centroid.lat_deg);
+    EXPECT_EQ(got.estimate.lon_deg, want.centroid.lon_deg);
+    EXPECT_EQ(got.confidence_radius_km,
+              want.empty ? 0.0 : std::sqrt(std::max(want.area_km2, 0.0) / kPi));
+    EXPECT_EQ(got.verdict, want.empty ? core::CbgVerdict::Unlocatable
+                                      : core::CbgVerdict::Ok);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace
