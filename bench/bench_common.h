@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -104,7 +105,8 @@ inline void emit_bench_json(const std::string& name, double wall_ms,
 }
 
 /// Append one free-form record to $GEOLOC_BENCH_JSON as a JSON line:
-///   {"name":…,"threads":…,"<field>":<value>,…,"peak_rss_kb":…,"allocs":…}
+///   {"name":…,"threads":…,"host_cores":…,"<field>":<value>,…,
+///    "peak_rss_kb":…,"allocs":…}
 /// for benches whose natural outputs are rates/latencies rather than the
 /// wall_ms/vps/targets shape of emit_bench_json(). No-op when unset.
 inline void emit_bench_json_fields(
@@ -113,8 +115,9 @@ inline void emit_bench_json_fields(
   const std::string path = util::env::string_or("GEOLOC_BENCH_JSON", "");
   if (path.empty()) return;
   if (std::FILE* f = std::fopen(path.c_str(), "a")) {
-    std::fprintf(f, "{\"name\":\"%s\",\"threads\":%u", name.c_str(),
-                 util::thread_count());
+    std::fprintf(f, "{\"name\":\"%s\",\"threads\":%u,\"host_cores\":%u",
+                 name.c_str(), util::thread_count(),
+                 std::thread::hardware_concurrency());
     for (const auto& [key, value] : fields) {
       std::fprintf(f, ",\"%s\":%.6g", key, value);
     }

@@ -4,10 +4,12 @@
 // /24 sites (default 100 000), each with three hitlist representatives and
 // GEOLOC_MS_TARGETS_PER_24 targets (default 10, i.e. one million targets),
 // probed by GEOLOC_MS_VPS vantage points (default 128) — and runs the
-// full streaming pipeline over it: tiled representative campaign, per-/24
+// full streaming pipeline over it: representative campaign with per-/24
 // VP selection, sparse final pings, CBG. The dense pipeline would need a
 // |VPs| x |targets| matrix (gigabytes of floats and hours of synthesis
-// at this scale); the streaming path holds at most the tile budget.
+// at this scale); the streaming path holds no tile, and its bounded
+// selection synthesises only the rep cells a lower bound cannot rule out
+// (reported against the |VPs| x /24s cells a full sweep would need).
 //
 // Recorded to $GEOLOC_BENCH_JSON (BENCH_million_scale.json) and gated:
 //   - throughput must be >= 10x the dense path's effective rate at the
@@ -269,29 +271,30 @@ int main() {
   const double speedup = tiled_targets_per_s / dense_ref_targets_per_s;
   const double median_km = median_of_located(outcome.errors_km);
 
-  const auto& rs = outcome.rep_stats;
-  const double rep_lookups = static_cast<double>(rs.hits + rs.misses);
-  const double hit_rate =
-      rep_lookups > 0 ? static_cast<double>(rs.hits) / rep_lookups : 0.0;
+  // What a full sweep of the rep campaign would synthesise: every VP
+  // against every /24 column, each cell pinging the /24's three reps.
+  const double sweep_cells =
+      static_cast<double>(reps.rows()) * static_cast<double>(reps.cols());
+  const double rep_cell_share =
+      static_cast<double>(outcome.rep_cells) / std::max(sweep_cells, 1.0);
   const std::size_t peak_rss_mb = util::procstat::peak_rss_kb() / 1024;
 
   std::printf(
       "campaign: %.1f s (%.0f targets/s), located %zu / failed %zu, "
       "median error %.1f km\n"
       "cells: %llu rep + %llu final-ping (dense would need %.0f)\n"
-      "rep tile cache: %llu hits / %llu misses (%.0f%% hit rate), "
-      "%llu evictions, budget %zu tiles, peak resident %.1f MiB\n"
+      "rep cells synthesised: %llu of the %.0f a full sweep needs "
+      "(%zu VPs x %zu /24s x %zu reps = %.0f rep pings), %.2f%%\n"
       "peak RSS %zu MB (ceiling %zu MB)\n",
       wall_s, tiled_targets_per_s, outcome.located, outcome.failed, median_km,
       static_cast<unsigned long long>(outcome.rep_cells),
       static_cast<unsigned long long>(outcome.target_cells),
       static_cast<double>(n_vps) *
           static_cast<double>(n_targets + n24),
-      static_cast<unsigned long long>(rs.hits),
-      static_cast<unsigned long long>(rs.misses), hit_rate * 100.0,
-      static_cast<unsigned long long>(rs.evictions), reps.budget_tiles(),
-      static_cast<double>(rs.peak_resident_bytes) / (1024.0 * 1024.0),
-      peak_rss_mb, ceiling_mb);
+      static_cast<unsigned long long>(outcome.rep_cells), sweep_cells,
+      reps.rows(), reps.cols(), reps.campaign().group,
+      sweep_cells * static_cast<double>(reps.campaign().group),
+      rep_cell_share * 100.0, peak_rss_mb, ceiling_mb);
 
   bench::emit_bench_json_fields(
       "million_scale",
@@ -305,14 +308,9 @@ int main() {
        {"failed", static_cast<double>(outcome.failed)},
        {"median_error_km", median_km},
        {"rep_cells", static_cast<double>(outcome.rep_cells)},
+       {"rep_sweep_cells", sweep_cells},
+       {"rep_cell_share", rep_cell_share},
        {"target_cells", static_cast<double>(outcome.target_cells)},
-       {"tile_budget", static_cast<double>(reps.budget_tiles())},
-       {"rep_tile_hits", static_cast<double>(rs.hits)},
-       {"rep_tile_misses", static_cast<double>(rs.misses)},
-       {"rep_tile_evictions", static_cast<double>(rs.evictions)},
-       {"rep_tile_hit_rate", hit_rate},
-       {"peak_resident_tile_bytes",
-        static_cast<double>(rs.peak_resident_bytes)},
        {"dense_target_cells_per_s", rate_t},
        {"dense_rep_cells_per_s", rate_r},
        {"dense_effective_targets_per_s", dense_ref_targets_per_s},

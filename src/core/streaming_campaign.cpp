@@ -1,6 +1,8 @@
 #include "core/streaming_campaign.h"
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -10,52 +12,105 @@
 
 namespace geoloc::core {
 
-std::vector<std::vector<std::size_t>> streamed_select_block(
-    scenario::RttTileSource& reps, std::size_t target_block, int k,
-    std::span<const sim::HostId> col_self) {
+namespace {
+
+/// Per-worker buffers of the bounded search, reused column after column.
+struct SelectScratch {
+  std::vector<float> bound;                             ///< per row
+  std::vector<std::pair<float, std::uint32_t>> queue;   ///< (bound, row)
+  std::vector<std::pair<float, std::size_t>> best;      ///< (rtt, row) heap
+};
+
+SelectScratch& select_scratch() {
+  thread_local SelectScratch s;
+  return s;
+}
+
+/// The k lowest-(rtt, row) rows of global rep column c, synthesising only
+/// the cells whose lower bound does not rule them out (DESIGN.md §14).
+/// Returns the rows in ascending (rtt, row) order; `cells` counts the
+/// cells synthesised.
+std::vector<std::size_t> select_column(const scenario::RttTileSource& reps,
+                                       std::size_t c, std::size_t kk,
+                                       sim::HostId self,
+                                       std::uint32_t& cells) {
+  cells = 0;
+  if (kk == 0) return {};
+  const auto& vps = reps.campaign().vps;
+  SelectScratch& s = select_scratch();
+  s.bound.resize(reps.rows());
+  reps.cell_lower_bounds(c, s.bound);
+  s.queue.clear();
+  for (std::size_t r = 0; r < s.bound.size(); ++r) {
+    // A row whose every destination is unresponsive (+inf) is missing
+    // everywhere; the self row is the anchors-as-both exclusion.
+    if (std::isinf(s.bound[r]) || vps[r] == self) continue;
+    s.queue.emplace_back(s.bound[r], static_cast<std::uint32_t>(r));
+  }
+  // Best-first: a min-heap on (bound, row).
+  const auto later = std::greater<>{};
+  std::make_heap(s.queue.begin(), s.queue.end(), later);
+  // A max-heap of the k smallest (rtt, row) pairs seen — the dense
+  // partial_sort's ordering. Once it is full, a row whose bound is
+  // strictly above its top cannot enter, and neither can any row after
+  // it. An equal bound must still be synthesised: its cell may tie the
+  // top's rtt with a lower row.
+  auto& best = s.best;
+  best.clear();
+  while (!s.queue.empty()) {
+    std::pop_heap(s.queue.begin(), s.queue.end(), later);
+    const auto [bound, r] = s.queue.back();
+    s.queue.pop_back();
+    if (best.size() == kk && bound > best.front().first) break;
+    const float rtt = reps.cell(r, c);
+    ++cells;
+    if (scenario::RttMatrix::is_missing(rtt)) continue;
+    const std::pair<float, std::size_t> cand{rtt, r};
+    if (best.size() < kk) {
+      best.push_back(cand);
+      std::push_heap(best.begin(), best.end());
+    } else if (cand < best.front()) {
+      std::pop_heap(best.begin(), best.end());
+      best.back() = cand;
+      std::push_heap(best.begin(), best.end());
+    }
+  }
+  std::sort(best.begin(), best.end());
+  std::vector<std::size_t> rows;
+  rows.reserve(best.size());
+  for (const auto& [rtt, r] : best) rows.push_back(r);
+  return rows;
+}
+
+/// streamed_select_block, also counting the rep cells it synthesised.
+std::vector<std::vector<std::size_t>> select_block(
+    const scenario::RttTileSource& reps, std::size_t target_block, int k,
+    std::span<const sim::HostId> col_self, std::uint64_t& cells) {
   const std::size_t col_begin = target_block * reps.shape().target_block;
   const std::size_t col_end =
       std::min(reps.cols(), col_begin + reps.shape().target_block);
-  const std::size_t n_cols = col_end - col_begin;
   const auto kk = static_cast<std::size_t>(std::max(k, 0));
-  const auto& vps = reps.campaign().vps;
-
-  // Per column, a max-heap of the k smallest (rtt, row) pairs. The pair
-  // ordering is the one the dense partial_sort uses, and the set of k
-  // smallest pairs is independent of scan order, so the sorted heap equals
-  // the dense selection exactly — while only ever holding one VP-block
-  // tile plus k pairs per column.
-  std::vector<std::vector<std::pair<float, std::size_t>>> best(n_cols);
-  for (std::size_t vb = 0; vb < reps.vp_blocks(); ++vb) {
-    const auto& t = reps.tile(vb, target_block);
-    for (std::size_t rr = 0; rr < t.rows(); ++rr) {
-      const std::size_t r = t.vp_begin + rr;
-      const float* row = t.rtt.data() + rr * t.cols();
-      for (std::size_t cc = 0; cc < n_cols; ++cc) {
-        const float rtt = row[cc];
-        if (scenario::RttMatrix::is_missing(rtt)) continue;
-        if (!col_self.empty() && vps[r] == col_self[col_begin + cc]) continue;
-        auto& heap = best[cc];
-        const std::pair<float, std::size_t> cand{rtt, r};
-        if (heap.size() < kk) {
-          heap.push_back(cand);
-          std::push_heap(heap.begin(), heap.end());
-        } else if (kk != 0 && cand < heap.front()) {
-          std::pop_heap(heap.begin(), heap.end());
-          heap.back() = cand;
-          std::push_heap(heap.begin(), heap.end());
-        }
-      }
-    }
-  }
-
-  std::vector<std::vector<std::size_t>> out(n_cols);
-  for (std::size_t cc = 0; cc < n_cols; ++cc) {
-    std::sort(best[cc].begin(), best[cc].end());
-    out[cc].reserve(best[cc].size());
-    for (const auto& [rtt, r] : best[cc]) out[cc].push_back(r);
-  }
+  // Each column reads only its own cells and writes only its own slots, so
+  // the block maps in parallel with the same result at any thread count.
+  std::vector<std::uint32_t> col_cells(col_end - col_begin, 0);
+  auto out = util::parallel_map<std::vector<std::size_t>>(
+      col_end - col_begin, [&](std::size_t cc) {
+        const std::size_t c = col_begin + cc;
+        const sim::HostId self =
+            col_self.empty() ? sim::kInvalidHost : col_self[c];
+        return select_column(reps, c, kk, self, col_cells[cc]);
+      });
+  for (const std::uint32_t n : col_cells) cells += n;
   return out;
+}
+
+}  // namespace
+
+std::vector<std::vector<std::size_t>> streamed_select_block(
+    scenario::RttTileSource& reps, std::size_t target_block, int k,
+    std::span<const sim::HostId> col_self) {
+  std::uint64_t cells = 0;
+  return select_block(reps, target_block, k, col_self, cells);
 }
 
 StreamingCampaignOutcome run_streaming_campaign(
@@ -81,8 +136,8 @@ StreamingCampaignOutcome run_streaming_campaign(
   out.errors_km.assign(n_targets, -1.0);
 
   // Group target columns under the rep block their /24 column lives in, so
-  // each rep tile stripe is generated once and every dependent target
-  // consumes it while it is resident.
+  // each rep block is selected once and every dependent target consumes
+  // its selection.
   const auto rep_col_of = [&](std::size_t t) -> std::size_t {
     return identity ? t : target_to_rep_col[t];
   };
@@ -103,10 +158,11 @@ StreamingCampaignOutcome run_streaming_campaign(
     // Self-VP exclusion during selection is the dense pipeline's
     // anchors-as-both rule; it only applies when rep columns ARE target
     // columns (identity mapping).
-    const auto selection = streamed_select_block(
+    const auto selection = select_block(
         reps, tb, config.k,
         identity ? std::span<const sim::HostId>(tc.dsts)
-                 : std::span<const sim::HostId>{});
+                 : std::span<const sim::HostId>{},
+        out.rep_cells);
     const std::size_t col_begin = tb * reps.shape().target_block;
     // Final pings + CBG per target: each column is a pure function of its
     // selection and the sparse cells it computes, so the block maps in
@@ -146,7 +202,6 @@ StreamingCampaignOutcome run_streaming_campaign(
       }
     }
   }
-  out.rep_cells = reps.stats().generated_cells;
   out.rep_stats = reps.stats();
   out.target_stats = targets.stats();
   return out;

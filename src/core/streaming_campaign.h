@@ -3,13 +3,17 @@
 // The dense pipeline (core/million_scale.h) reads two fully materialised
 // RttMatrix campaigns — O(|VPs| × |targets|) floats before the first CBG
 // solve. This runner executes the same algorithm against a
-// scenario::RttTileSource pair: per rep-campaign block it streams the
-// VP-block tiles once to pick each column's k lowest-RTT vantage points,
-// then the chosen VPs ping the target through the sparse single-cell path
-// and CBG runs on the result. Peak memory is the tile budget plus one
-// block of selections; measurement cost is |VPs| × group per *rep column*
-// (shared by every target in the /24) plus k cells per target — it scales
-// with measurements used, not world size².
+// scenario::RttTileSource pair: per rep-campaign block it picks each
+// column's k lowest-RTT vantage points by a best-first search over sound
+// per-cell lower bounds, synthesising through the sparse single-cell path
+// only the cells a bound cannot rule out; then the chosen VPs ping the
+// target through the same path and CBG runs on the result. Peak memory is
+// one block of selections plus per-worker scratch — no tile is held.
+//
+// The simulated platform's measurement cost is unchanged: |VPs| × group
+// pings per *rep column* (shared by every target in the /24) plus k per
+// target. Only the simulator skips synthesising rep cells whose values
+// cannot change the selection.
 //
 // Equivalence: with the scenario's own tile sources and the identity
 // target→rep-column mapping, the selected rows, observations, CBG results
@@ -35,6 +39,12 @@ namespace geoloc::core {
 /// non-empty, names the host to exclude per *global* rep column (the
 /// anchors-as-both-targets-and-VPs rule); columns without a self pass
 /// kInvalidHost or an empty span.
+///
+/// Per column, rows are visited in ascending (lower bound, row) order
+/// (RttTileSource::cell_lower_bounds) and their cells synthesised with
+/// RttTileSource::cell() until k cells are held and the next bound is
+/// strictly above the largest; columns run on util::parallel_map. Reads
+/// no tile and leaves the tile cache untouched.
 std::vector<std::vector<std::size_t>> streamed_select_block(
     scenario::RttTileSource& reps, std::size_t target_block, int k,
     std::span<const sim::HostId> col_self = {});
@@ -49,8 +59,12 @@ struct StreamingCampaignOutcome {
   std::size_t located = 0;  ///< CBG produced an estimate
   std::size_t failed = 0;
   std::vector<double> errors_km;  ///< per target column; -1 when CBG failed
-  std::uint64_t rep_cells = 0;     ///< rep-campaign cells generated
+  /// Rep-campaign cells synthesised by the bounded selection — a small
+  /// share of the |VPs| × rep columns a full sweep would synthesise.
+  std::uint64_t rep_cells = 0;
   std::uint64_t target_cells = 0;  ///< final sparse target pings
+  /// Tile-cache stats of the two sources. The campaign reads cells, not
+  /// tiles, so these stay zero unless a caller used the sources' tiles.
   scenario::RttTileSource::Stats rep_stats;
   scenario::RttTileSource::Stats target_stats;
 };

@@ -220,15 +220,6 @@ std::span<const WebsiteId> WebEcosystem::websites_in_zip(
   return zip_index_.at_token(*token);
 }
 
-std::vector<WebsiteId> WebEcosystem::websites_in_zip_scan(
-    const std::string& zip) const {
-  std::vector<WebsiteId> out;
-  for (const Website& w : websites_) {
-    if (w.recorded_zip == zip) out.push_back(w.id);
-  }
-  return out;
-}
-
 std::vector<WebsiteId> WebEcosystem::websites_near_zip(
     const MappingService& mapping, const std::string& zip) const {
   std::vector<WebsiteId> out;

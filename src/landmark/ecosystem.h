@@ -11,8 +11,9 @@
 //
 // Lookup paths run against spatial::IntervalIndex structures (zip-token
 // buckets for websites_in_zip, a poi-location index for passing_near);
-// the *_scan methods keep the original linear/hash-grid semantics as the
-// reference implementations the equivalence suite compares against.
+// passing_near_scan keeps the original hash-grid semantics as the
+// reference the equivalence suite compares against (the websites_in_zip
+// reference lives with the tests, tests/zip_scan_reference.h).
 #pragma once
 
 #include <cstdint>
@@ -96,11 +97,6 @@ class WebEcosystem {
   /// "amenities with a website near this zip" query of the replication).
   /// Ascending ID; one zip-token lookup against the interval index.
   [[nodiscard]] std::span<const WebsiteId> websites_in_zip(
-      const std::string& zip) const;
-
-  /// Reference implementation: linear scan over every website. Identical
-  /// result to websites_in_zip on every input (equivalence suite).
-  [[nodiscard]] std::vector<WebsiteId> websites_in_zip_scan(
       const std::string& zip) const;
 
   /// Concatenation of websites_in_zip over the zone and its 8 neighbours,

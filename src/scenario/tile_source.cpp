@@ -33,10 +33,12 @@ TileMetrics& tile_metrics() {
 constexpr std::size_t kMaxColumns = std::size_t{1} << 20;
 
 /// Per-worker synthesis buffers, reused row after row: the city-pair
-/// draws (reset per row, O(1)) and the row's base RTTs.
+/// draws (reset per row, O(1)), the row's base RTTs and one destination's
+/// per-row lower bounds.
 struct RowScratch {
   sim::LatencyModel::CityPairCache cache;
   std::vector<double> base;
+  std::vector<double> bound;
 };
 
 RowScratch& row_scratch() {
@@ -236,6 +238,22 @@ float RttTileSource::cell(std::size_t r, std::size_t c) const {
   campaign_.latency->base_rtt_ms_batch(vp_soa_, r, dst_soa_, c * g,
                                        (c + 1) * g, cache, base);
   return synthesise_cell(r, c, base);
+}
+
+void RttTileSource::cell_lower_bounds(std::size_t c,
+                                      std::span<float> out) const {
+  std::fill(out.begin(), out.end(), std::numeric_limits<float>::infinity());
+  std::vector<double>& bound = row_scratch().bound;
+  bound.resize(rows());
+  const std::size_t g = campaign_.group;
+  for (std::size_t d = c * g; d < (c + 1) * g; ++d) {
+    if (dst_soa_.responsive[d] == 0) continue;
+    campaign_.latency->base_rtt_lower_bound_ms_batch(vp_soa_, dst_soa_, d,
+                                                     bound.data());
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      out[r] = std::min(out[r], static_cast<float>(bound[r]));
+    }
+  }
 }
 
 RttMatrix RttTileSource::materialise() const {

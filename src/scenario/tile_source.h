@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <list>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -126,6 +127,15 @@ class RttTileSource {
   /// Cell (r, c) computed directly, touching neither the cache nor other
   /// cells — the sparse consumer's path (k selected VPs ping one target).
   [[nodiscard]] float cell(std::size_t r, std::size_t c) const;
+
+  /// out[r] <= cell(r, c) for every row r whose cell is not missing: the
+  /// minimum over column c's responsive destinations of
+  /// LatencyModel::base_rtt_lower_bound_ms_batch, rounded to float
+  /// (rounding is monotone, and a cell is the float of a median of
+  /// per-destination minima, each at least its base RTT). +inf when no
+  /// destination of the column responds, so every cell is missing.
+  /// Precondition: out.size() == rows(). Synthesises no cell.
+  void cell_lower_bounds(std::size_t c, std::span<float> out) const;
 
   /// Assemble the full dense matrix by sweeping tiles in row-major block
   /// order with a single scratch tile (generate → copy → discard); the

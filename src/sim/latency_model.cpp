@@ -246,6 +246,35 @@ void LatencyModel::base_rtt_ms_batch(const HostSoA& src, std::size_t i,
   }
 }
 
+void LatencyModel::base_rtt_lower_bound_ms_batch(const HostSoA& src,
+                                                 const HostSoA& dst,
+                                                 std::size_t j,
+                                                 double* out) const {
+  // The chord never exceeds the arc it spans, and the chord kernel's
+  // contract (geodesy_batch.h) keeps the unit-vector form within 1 m of
+  // the haversine base_rtt_ms_batch takes its distance from — so the
+  // margin absorbs every rounding difference between the two.
+  constexpr double kChordMarginKm = 1e-3;
+  const double bx = dst.points.x[j];
+  const double by = dst.points.y[j];
+  const double bz = dst.points.z[j];
+  const std::uint64_t city_b = dst.city[j];
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const double dx = src.points.x[i] - bx;
+    const double dy = src.points.y[i] - by;
+    const double dz = src.points.z[i] - bz;
+    const double d = std::max(
+        0.0, geo::kEarthRadiusKm * std::sqrt(dx * dx + dy * dy + dz * dz) -
+                 kChordMarginKm);
+    double penalty = 0.0;
+    if (!(src.city[i] == city_b && src.local_peering[i])) {
+      penalty = src.access_penalty_ms[i] + dst.access_penalty_ms[j];
+    }
+    out[i] = geo::distance_to_min_rtt_ms(d) * config_.min_inflation +
+             src.last_mile_ms[i] + dst.last_mile_ms[j] + penalty;
+  }
+}
+
 double LatencyModel::router_hop_rtt_ms(HostId src, HostId hop,
                                        util::Pcg32& gen) const {
   // Directional: the reverse path router->src is generally not the forward

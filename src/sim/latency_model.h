@@ -154,6 +154,15 @@ class LatencyModel {
                          std::size_t begin, std::size_t end,
                          CityPairCache& cache, double* out) const;
 
+  /// out[i] <= base_rtt_ms(src.ids[i], dst.ids[j]) for every source i of
+  /// `src`, whatever the pair's draws: the base RTT's formula
+  /// with inflation at min_inflation, overhead at 0 and the distance
+  /// replaced by R·|u−v| − 1 m, the chord of the SoA unit vectors less the
+  /// chord kernel's error bound. Summed in base_rtt_ms_batch's association,
+  /// so monotone rounding keeps the double inequality (DESIGN.md §14).
+  void base_rtt_lower_bound_ms_batch(const HostSoA& src, const HostSoA& dst,
+                                     std::size_t j, double* out) const;
+
   /// ping_sample with the pair's deterministic base RTT already in hand:
   /// consumes `gen` identically to ping_sample(src, dst, ...) and returns
   /// the same value when (base_rtt, responsive) match that pair. The tile

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "landmark/mapping_service.h"
 #include "sim/world.h"
 #include "test_scenario.h"
+#include "zip_scan_reference.h"
 
 namespace geoloc {
 namespace {
@@ -54,12 +54,10 @@ TEST(SpatialEquivalence, WebsitesInZipMatchesScanForEveryRecordedZip) {
   const WebEcosystem& eco = s.web();
   ASSERT_GT(eco.total_count(), 0u);
 
-  std::set<std::string> zips;
-  for (const auto& w : eco.websites()) zips.insert(w.recorded_zip);
-  ASSERT_FALSE(zips.empty());
-  for (const std::string& zip : zips) {
+  const testing::ZipScan scan(eco);
+  ASSERT_FALSE(scan.by_zip().empty());
+  for (const auto& [zip, scanned] : scan.by_zip()) {
     const auto indexed = to_vector(eco.websites_in_zip(zip));
-    const auto scanned = eco.websites_in_zip_scan(zip);
     ASSERT_EQ(indexed, scanned) << zip;
     EXPECT_FALSE(indexed.empty()) << zip;
   }
@@ -76,9 +74,9 @@ TEST(SpatialEquivalence, WebsitesInZipMatchesScanForForeignAndGarbageZips) {
   }
   zips.insert(zips.end(), {"", "garbage", "Z1x2", "Z00001x00002junk",
                            "Z-0001x00002", "Z99999x99999", "Z00000x00000"});
+  const testing::ZipScan scan(eco);
   for (const std::string& zip : zips) {
-    EXPECT_EQ(to_vector(eco.websites_in_zip(zip)),
-              eco.websites_in_zip_scan(zip))
+    EXPECT_EQ(to_vector(eco.websites_in_zip(zip)), scan.in_zip(zip))
         << "\"" << zip << "\"";
   }
 }
@@ -88,13 +86,14 @@ TEST(SpatialEquivalence, WebsitesNearZipConcatenatesNeighborZones) {
   const WebEcosystem& eco = s.web();
   const landmark::MappingService& mapping = s.mapping();
 
+  const testing::ZipScan scan(eco);
   int checked = 0;
   for (const auto& w : eco.websites()) {
     if (++checked > 50) break;
     const auto got = eco.websites_near_zip(mapping, w.recorded_zip);
     std::vector<WebsiteId> want;
     for (const std::string& zone : mapping.neighbor_zones(w.recorded_zip)) {
-      const auto scanned = eco.websites_in_zip_scan(zone);
+      const auto& scanned = scan.in_zip(zone);
       want.insert(want.end(), scanned.begin(), scanned.end());
     }
     ASSERT_EQ(got, want) << w.recorded_zip;
@@ -193,7 +192,7 @@ TEST(SpatialEquivalence, EmptyEcosystemQueriesAgreeOnEmpty) {
     const std::string zip = mapping.zone_of(q);
     EXPECT_TRUE(eco.websites_in_zip(zip).empty());
     EXPECT_EQ(to_vector(eco.websites_in_zip(zip)),
-              eco.websites_in_zip_scan(zip));
+              testing::ZipScan(eco).in_zip(zip));
     EXPECT_EQ(eco.websites_near_zip(mapping, zip),
               std::vector<WebsiteId>{});
   }
